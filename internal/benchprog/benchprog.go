@@ -12,9 +12,10 @@
 // registered in a process-wide registry (registry.go, table2.go),
 // serialized by a strict canonical JSON codec (codec.go), and derived
 // from one another by generator combinators (generate.go). A Scenario
-// compiles to a Program; the frozen closure forms of the seed
-// (SeedSuite and friends) remain as the reference implementation the
-// compiler is differentially tested against.
+// compiles to a Program. The closure programs the scenarios replaced
+// survive only as a checked-in golden (testdata/closure_golden.json:
+// per-variant event-stream digests and Table 2 graph fingerprints)
+// that the scenario forms are differentially tested against.
 package benchprog
 
 import (
@@ -130,18 +131,4 @@ func Run(k *oskernel.Kernel, prog Program, v Variant) error {
 		}
 	}
 	return nil
-}
-
-// expectOK fails a step when the syscall did not succeed; benchmark
-// scripts assert the target behaviour was actually performed (Section 4).
-func expectOK(ret int64, errno oskernel.Errno) error {
-	if errno != oskernel.OK {
-		return fmt.Errorf("syscall failed: %s", errno.Error())
-	}
-	_ = ret
-	return nil
-}
-
-func setupFile(path string) func(*oskernel.Kernel) {
-	return func(k *oskernel.Kernel) { k.MkFile(path, 1000, 0o644) }
 }

@@ -1,10 +1,10 @@
 package benchprog
 
 // The Table 2 benchmark suite, the Section 3.1/5.2 extra programs, and
-// the failure-case suite, re-expressed on the declarative instruction
-// set and registered as the production suite. The frozen closure forms
-// in programs.go / extra.go / failures.go are the reference these data
-// programs are differentially tested against.
+// the failure-case suite, expressed on the declarative instruction set
+// and registered as the production suite. Their kernel event streams
+// and Table 2 fingerprints are pinned by testdata/closure_golden.json,
+// recorded from the closure programs they replaced.
 
 const stageFile = "/stage/test.txt"
 
@@ -179,7 +179,10 @@ func PrivilegeEscalationScenario() Scenario {
 			{Op: "open", Path: "/stage/secret.txt", Flags: []string{"rdwr"}, SaveFD: "id"},
 			{Op: "read", FD: "id", N: 16},
 			// The escalation and the write it enables are both target
-			// activity (see SeedPrivilegeEscalation for why).
+			// activity: a credential change forks a new task version,
+			// so post-setuid activity cannot stay background without
+			// breaking ProvMark's monotonic-containment assumption (the
+			// same limitation the paper notes for exit/kill).
 			target(Instr{Op: "setuid"}),
 			target(Instr{Op: "write", FD: "id", N: 16}),
 		},

@@ -8,13 +8,15 @@
 // Two kinds of output:
 //
 //   - Diagnostics. Error-severity findings are exactly the programs
-//     the evaluation engine rejects (unsafe rules, unstratified
-//     negation) plus defects that make a program meaningless even
-//     though the engine would accept it (inconsistent arities — a
-//     typo'd arity silently joins nothing). Warning-severity findings
-//     are suspicious but evaluable: undefined or dead predicates,
-//     always-empty rules, cartesian products, goal-unreachable rules.
-//     A program with no Error diagnostics always Runs without error.
+//     the evaluation engine rejects: unsafe rules, unstratified
+//     negation, and inconsistent arities (the engine checks arities
+//     against stored facts; the analyzer against Options.Base).
+//     Warning-severity findings are suspicious but evaluable:
+//     undefined or dead predicates, always-empty rules, cartesian
+//     products, goal-unreachable rules. Over a database holding the
+//     base predicates, a program with no Error diagnostics always
+//     Runs without error, and one with an Error diagnostic is always
+//     rejected (FuzzAnalyzeRules checks both directions).
 //
 //   - Optimized programs (optimize.go). Goal-directed relevance
 //     pruning drops rules that cannot contribute to a query goal, and
@@ -37,8 +39,7 @@ type Severity int
 const (
 	// Warning marks a suspicious construct the engine still accepts.
 	Warning Severity = iota
-	// Error marks a defect: the engine rejects the program, or the
-	// construct is meaningless (inconsistent arities never join).
+	// Error marks a defect the engine rejects the program for.
 	Error
 )
 

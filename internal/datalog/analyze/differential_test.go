@@ -169,16 +169,14 @@ func runOn(t *testing.T, facts []datalog.Fact, rules []datalog.Rule) *datalog.Da
 	return db
 }
 
-// engineLineup is every evaluation strategy the database exposes; the
-// corpus negates base predicates only, so even the naive semipositive
-// oracle accepts the generated (and goal-pruned) programs.
+// engineLineup is every evaluation strategy the database exposes: the
+// interned engine at two widths and the naive oracle.
 var engineLineup = []struct {
 	name string
 	eval func(*datalog.Database, []datalog.Rule) error
 }{
 	{"interned-seq", func(db *datalog.Database, rs []datalog.Rule) error { return db.RunParallel(rs, 1) }},
 	{"interned-par", func(db *datalog.Database, rs []datalog.Rule) error { return db.RunParallel(rs, 3) }},
-	{"strings", (*datalog.Database).RunStrings},
 	{"naive", (*datalog.Database).RunNaive},
 }
 
@@ -226,6 +224,70 @@ func TestOptimizeDifferentialCorpus(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestArityMutationCorpus is the converse direction of the corpus
+// gate: each corpus program with one body atom widened by a wildcard
+// is rejected by the analyzer exactly when Run and the naive oracle
+// reject it, and a rejected program derives nothing. The analyzer's
+// base vocabulary is the predicates that hold facts — what the engine
+// sees stored.
+func TestArityMutationCorpus(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260728))
+	rejected := 0
+	for p := 0; p < 150; p++ {
+		rules, facts := genProgram(rng)
+		name := fmt.Sprintf("program-%03d", p)
+		pick := rand.New(rand.NewSource(int64(p)))
+		var mutated []datalog.Rule
+		for _, r := range rules {
+			r.Body = append([]datalog.Atom(nil), r.Body...)
+			mutated = append(mutated, r)
+		}
+		var withBody []int
+		for i, r := range mutated {
+			if len(r.Body) > 0 {
+				withBody = append(withBody, i)
+			}
+		}
+		r := &mutated[withBody[pick.Intn(len(withBody))]]
+		ai := pick.Intn(len(r.Body))
+		r.Body[ai].Terms = append(append([]datalog.Term(nil), r.Body[ai].Terms...), datalog.W())
+
+		stored := map[string]int{}
+		for _, f := range facts {
+			stored[f.Pred] = len(f.Args)
+		}
+		analysisErr := analyze.HasErrors(analyze.FromRules(mutated).Analyze(analyze.Options{Base: stored}))
+		var want string
+		for _, eng := range engineLineup {
+			db := datalog.NewDatabase()
+			for _, f := range facts {
+				db.Assert(f)
+			}
+			before := dumpAll(db, diffBase)
+			err := eng.eval(db, mutated)
+			if (err != nil) != analysisErr {
+				t.Fatalf("%s: %s error = %v, analyzer rejects = %v\nmutated atom: %s", name, eng.name, err, analysisErr, r.Body[ai])
+			}
+			got := dumpAll(db, append(append([]string{}, diffBase...), diffDerived...))
+			if err != nil && got != before {
+				t.Fatalf("%s: %s derived facts from a rejected program:\n%s", name, eng.name, got)
+			}
+			if want == "" {
+				want = got
+			} else if got != want {
+				t.Fatalf("%s: %s fact set differs:\ngot:\n%s\nwant:\n%s", name, eng.name, got, want)
+			}
+		}
+		if analysisErr {
+			rejected++
+		}
+	}
+	t.Logf("%d of 150 mutants rejected", rejected)
+	if rejected < 75 {
+		t.Errorf("only %d of 150 mutants rejected; the mutation no longer exercises the arity check", rejected)
 	}
 }
 

@@ -10,11 +10,10 @@ import (
 )
 
 // TestStratifiedNegationOverDerived: negating a derived predicate from
-// a lower stratum is sound (the stratum finalizes first) and was
-// rejected outright by the naive engine — the headline semantic win of
-// the stratified rewrite.
+// a lower stratum is sound (the stratum finalizes first). The naive
+// oracle stratifies the same way and must derive the identical facts,
+// so it independently checks the stratified engine here.
 func TestStratifiedNegationOverDerived(t *testing.T) {
-	db := negSample(t)
 	rules, err := ParseRules(`
 used(P) :- edge(_, P, _, "Used").
 proc(P) :- node(P, "Process").
@@ -23,16 +22,20 @@ idle(P) :- proc(P), not used(P).
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.RunNaive(rules); err == nil {
-		t.Fatal("naive reference unexpectedly accepts negation of a derived predicate")
+	naive := negSample(t)
+	if err := naive.RunNaive(rules); err != nil {
+		t.Fatal(err)
 	}
-	db = negSample(t)
+	db := negSample(t)
 	if err := db.Run(rules); err != nil {
 		t.Fatal(err)
 	}
 	res := db.Query(Atom{Pred: "idle", Terms: []Term{V("P")}})
 	if len(res) != 1 || res[0]["P"] != "n2" {
 		t.Errorf("idle = %v, want [n2]", res)
+	}
+	if got, want := dumpFacts(naive), dumpFacts(db); got != want {
+		t.Errorf("naive oracle disagrees:\nnaive:\n%s\nrun:\n%s", got, want)
 	}
 }
 
@@ -68,9 +71,8 @@ allgood(X) :- good(X), not bad(X).
 
 // TestSafetyRejections is the table test over the static safety
 // checks: checkNegBound range restriction, unstratified negation, and
-// malformed heads. Both engines must reject each program (the naive
-// reference may reject a superset, e.g. stratified-but-derived
-// negation).
+// malformed heads. Run and the naive oracle share these checks, so
+// both must reject each program with the same error.
 func TestSafetyRejections(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -141,23 +143,26 @@ q(X) :- node(X, _), not p(X).
 			if err != nil {
 				t.Fatalf("parse: %v", err)
 			}
-			db := negSample(t)
-			err = db.Run(rules)
-			if err == nil {
-				t.Fatalf("Run accepted %q", tc.program)
-			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Errorf("Run error = %q, want substring %q", err, tc.wantErr)
+			for name, eval := range map[string]func(*Database, []Rule) error{
+				"Run":      (*Database).Run,
+				"RunNaive": (*Database).RunNaive,
+			} {
+				err := eval(negSample(t), rules)
+				if err == nil {
+					t.Fatalf("%s accepted %q", name, tc.program)
+				}
+				if !strings.Contains(err.Error(), tc.wantErr) {
+					t.Errorf("%s error = %q, want substring %q", name, err, tc.wantErr)
+				}
 			}
 		})
 	}
 }
 
-// TestStaticSafetyWithoutFacts: the rewritten engine rejects unsafe
-// rules even when no facts would reach them at run time (the naive
-// engine only tripped over unbound negation dynamically).
+// TestStaticSafetyWithoutFacts: the engine rejects unsafe rules even
+// when no facts would reach them at run time.
 func TestStaticSafetyWithoutFacts(t *testing.T) {
-	db := NewDatabase() // empty: the naive engine would accept these
+	db := NewDatabase() // empty: a purely dynamic check would accept these
 	for _, program := range []string{
 		`h(Y) :- b(X).`,
 		`h(_) :- b(X).`,
@@ -264,15 +269,44 @@ func TestIndexExtension(t *testing.T) {
 	}
 }
 
-// TestArityMismatchIndexing: facts of the same predicate with
-// different arities must neither crash index building nor unify.
-func TestArityMismatchIndexing(t *testing.T) {
+// TestAssertArityMismatchPanics: a predicate has one arity, so
+// asserting a fact that disagrees with the stored relation panics with
+// the predicate and both arities, and leaves the relation unchanged.
+func TestAssertArityMismatchPanics(t *testing.T) {
 	db := NewDatabase()
 	db.Assert(Fact{Pred: "p", Args: []string{"a"}})
-	db.Assert(Fact{Pred: "p", Args: []string{"a", "b"}})
-	res := db.Query(Atom{Pred: "p", Terms: []Term{C("a"), V("X")}})
-	if len(res) != 1 || res[0]["X"] != "b" {
-		t.Errorf("query = %v, want [{X:b}]", res)
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "arity mismatch") || !strings.Contains(msg, "arity 2") || !strings.Contains(msg, "arity 1") {
+				t.Errorf("panic = %q, want an arity mismatch naming arities 2 and 1", msg)
+			}
+		}()
+		db.Assert(Fact{Pred: "p", Args: []string{"a", "b"}})
+	}()
+	if got := dumpFacts(db); got != "p(\"a\").\n" {
+		t.Errorf("facts after the rejected assert = %q", got)
+	}
+}
+
+// TestEmptyRelationTakesNewArity: a head relation Run created but never
+// filled holds no facts, so a later program or Assert may use the
+// predicate at another arity.
+func TestEmptyRelationTakesNewArity(t *testing.T) {
+	db := NewDatabase()
+	if err := db.Run([]Rule{{Head: Atom{Pred: "p", Terms: []Term{V("X")}}, Body: []Atom{{Pred: "b", Terms: []Term{V("X")}}}}}); err != nil {
+		t.Fatal(err)
+	}
+	db.Assert(Fact{Pred: "b", Args: []string{"a", "c"}})
+	rules, err := ParseRules(`p(X, Y) :- b(X, Y).`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Run(rules); err != nil {
+		t.Fatal(err)
+	}
+	if got := dumpFacts(db); got != "b(\"a\",\"c\").\np(\"a\",\"c\").\n" {
+		t.Errorf("facts = %q", got)
 	}
 }
 

@@ -1,7 +1,7 @@
 package datalog
 
-// The interned columnar engine — the production evaluation path behind
-// Run and RunParallel.
+// The interned columnar engine — the one evaluation path behind Run and
+// RunParallel.
 //
 // Instead of joining Fact values through map[string]string bindings,
 // each stratum is compiled once against the database's interned
@@ -19,26 +19,26 @@ package datalog
 // buffers merge into the columns in deterministic task order and the
 // counters sum, so the derived fact order and every EvalStats counter
 // are bit-identical at any worker-pool width — parallelism is purely a
-// wall-clock lever. (The string engine asserts mid-round, so its
-// JoinProbes/Iterations can differ from the barrier engine's; the
-// differential corpus pins the derived fact sets to byte equality
-// across all engines.)
+// wall-clock lever. The differential corpus pins the derived fact sets
+// to byte equality with the naive oracle (naive.go).
 //
-// Strata touching a mixed-arity predicate — or whose atoms disagree
-// with a relation's arity — fall back to the frozen string engine
-// (runStratum), which handles the general case bit-for-bit as before.
+// The columnar layout is strictly fixed-arity, which plan (engine.go)
+// guarantees before any stratum compiles: a program whose atoms
+// disagree with each other or with a stored relation is rejected with
+// an arity-mismatch error.
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
 
 // intIndex is a bound-position hash index over a relation's columns,
 // keyed by the packed little-endian bytes of the values at a fixed set
-// of argument positions. Like predIndex it extends incrementally via a
-// row watermark, but extension happens only at round starts (never
-// mid-round), so parallel workers read it without locks.
+// of argument positions. It extends incrementally via a row watermark;
+// during Run, extension happens only at round starts (never mid-round),
+// so parallel workers read it without locks.
 type intIndex struct {
 	positions []int
 	built     int
@@ -62,15 +62,13 @@ func (ix *intIndex) extend(rel *relation, buf []byte) []byte {
 // intIndexFor returns the relation's (lazily created) integer index
 // over the given positions.
 func (rel *relation) intIndexFor(positions []int) *intIndex {
-	sig := positionSig(positions)
-	if rel.intIdx == nil {
-		rel.intIdx = map[string]*intIndex{}
+	for _, ix := range rel.intIdx {
+		if slices.Equal(ix.positions, positions) {
+			return ix
+		}
 	}
-	ix := rel.intIdx[sig]
-	if ix == nil {
-		ix = &intIndex{positions: append([]int(nil), positions...), m: map[string][]int32{}}
-		rel.intIdx[sig] = ix
-	}
+	ix := &intIndex{positions: append([]int(nil), positions...), m: map[string][]int32{}}
+	rel.intIdx = append(rel.intIdx, ix)
 	return ix
 }
 
@@ -166,8 +164,9 @@ type iWorkspace struct {
 // Run evaluates the rules with the interned columnar engine, using the
 // parallelism configured by SetParallelism (by default
 // min(GOMAXPROCS, 8) workers). It accepts exactly the programs
-// RunStrings accepts and derives byte-identical fact sets; counters
-// and fact order are identical at every worker width.
+// RunNaive accepts and derives byte-identical fact sets; counters and
+// fact order are identical at every worker width. A rejected program —
+// unsafe, unstratifiable, or with an arity mismatch — derives nothing.
 func (db *Database) Run(rules []Rule) error {
 	return db.RunParallel(rules, db.workers)
 }
@@ -182,59 +181,20 @@ func (db *Database) RunParallel(rules []Rule, workers int) error {
 			workers = 8
 		}
 	}
-	if err := checkRules(rules); err != nil {
-		return err
-	}
-	strata, err := stratify(rules)
+	strata, err := db.plan(rules)
 	if err != nil {
 		return err
 	}
 	db.stats.Strata = len(strata)
 	for _, stratum := range strata {
-		cs, ok := db.compileStratum(stratum)
-		if !ok {
-			// Mixed-arity territory: the string engine speaks it.
-			if err := db.runStratum(stratum); err != nil {
-				return err
-			}
-			continue
-		}
-		db.runStratumInterned(cs, workers)
+		db.runStratumInterned(db.compileStratum(stratum), workers)
 	}
 	return nil
 }
 
 // compileStratum compiles one stratum's rules against the database's
-// relations. It reports ok=false — meaning the caller must use the
-// string engine — when any touched relation is mixed or any atom/head
-// arity disagrees with a relation (existing or implied), since the
-// columnar layout is strictly fixed-arity.
-func (db *Database) compileStratum(rules []Rule) (*compiledStratum, bool) {
-	// Arity consistency across every predicate the stratum touches.
-	arity := map[string]int{}
-	check := func(pred string, n int) bool {
-		if rel := db.rels[pred]; rel != nil {
-			if rel.mixed || rel.arity != n {
-				return false
-			}
-			return true
-		}
-		if a, seen := arity[pred]; seen && a != n {
-			return false
-		}
-		arity[pred] = n
-		return true
-	}
-	for _, r := range rules {
-		if !check(r.Head.Pred, len(r.Head.Terms)) {
-			return nil, false
-		}
-		for _, a := range r.Body {
-			if !check(a.Pred, len(a.Terms)) {
-				return nil, false
-			}
-		}
-	}
+// relations; plan has already proved every atom's arity consistent.
+func (db *Database) compileStratum(rules []Rule) *compiledStratum {
 	cs := &compiledStratum{headIdx: map[string]int{}}
 	heads := map[string]*relation{}
 	for _, r := range rules {
@@ -266,7 +226,7 @@ func (db *Database) compileStratum(rules []Rule) (*compiledStratum, bool) {
 			}
 		}
 	}
-	return cs, true
+	return cs
 }
 
 // compileRule lowers one rule: variables map to slots in first-binding
@@ -291,8 +251,8 @@ func (db *Database) compileRule(r Rule, heads map[string]*relation) cRule {
 		} else {
 			ca.rel = db.rels[a.Pred]
 		}
-		// Mirror boundPositions: positions with a constant or an
-		// already-bound variable form the probe key, in term order.
+		// Positions with a constant or an already-bound variable form
+		// the probe key, in term order.
 		atomSeen := map[string]uint32{}
 		for i, t := range a.Terms {
 			switch {
@@ -574,8 +534,8 @@ func buildKey(buf []byte, parts []keyPart, row []uint32) []byte {
 }
 
 // negHoldsInterned reports whether any fact matches the negated atom
-// under the binding row, counting one probe per candidate examined —
-// the same early-exit convention as the string engine's negHolds.
+// under the binding row, counting one probe per candidate examined and
+// stopping at the first match.
 func negHoldsInterned(a *cAtom, row []uint32, ws *iWorkspace, probes *int64) bool {
 	if a.rel == nil || a.rel.rows == 0 {
 		return false

@@ -1,29 +1,33 @@
 package datalog
 
-import "fmt"
-
 // RunNaive evaluates the rules with the original naive fixpoint
 // strategy this package shipped with: every iteration re-joins every
-// rule against the entire fact set, with no delta relations and no
-// indexes, and negation is limited to the semipositive fragment (only
-// base or never-derived predicates may be negated).
+// rule of a stratum against the entire fact set, with no delta
+// relations and no indexes. It accepts exactly the programs Run
+// accepts — the same static checks and strata — and runs that naive
+// fixpoint one stratum at a time, so it is an independent oracle for
+// stratified negation over derived predicates too.
 //
 // It is frozen deliberately: the differential tests prove the
 // semi-naive engine (Run) derives identical fact sets, and
 // BenchmarkDatalogAncestry measures the join-probe gap between the
 // two. Do not use it outside tests and benchmarks.
 func (db *Database) RunNaive(rules []Rule) error {
-	heads := map[string]bool{}
-	for _, r := range rules {
-		heads[r.Head.Pred] = true
+	strata, err := db.plan(rules)
+	if err != nil {
+		return err
 	}
-	for _, r := range rules {
-		for _, a := range r.Body {
-			if a.Negated && heads[a.Pred] {
-				return fmt.Errorf("datalog: unstratified negation of derived predicate %s in %s", a.Pred, r)
-			}
-		}
+	for _, stratum := range strata {
+		db.naiveFixpoint(stratum)
 	}
+	return nil
+}
+
+// naiveFixpoint evaluates one stratum's rules until an iteration
+// derives nothing new. Negated atoms only name predicates finalized by
+// lower strata (or base facts), and plan has proved every variable
+// they mention bound and every head instantiable.
+func (db *Database) naiveFixpoint(rules []Rule) {
 	for {
 		derived := false
 		for _, r := range rules {
@@ -32,17 +36,10 @@ func (db *Database) RunNaive(rules []Rule) error {
 				var next []binding
 				if atom.Negated {
 					for _, b := range bindings {
-						for _, t := range atom.Terms {
-							if t.Var != "" {
-								if _, ok := b[t.Var]; !ok {
-									return fmt.Errorf("datalog: unbound variable %s under negation in %s", t.Var, atom)
-								}
-							}
-						}
 						matched := false
 						for _, f := range db.stringFacts(atom.Pred) {
 							db.stats.JoinProbes++
-							if _, ok := unify(Atom{Pred: atom.Pred, Terms: atom.Terms}, f, b); ok {
+							if _, ok := unify(atom, f, b); ok {
 								matched = true
 								break
 							}
@@ -51,18 +48,14 @@ func (db *Database) RunNaive(rules []Rule) error {
 							next = append(next, b)
 						}
 					}
-					bindings = next
-					if len(bindings) == 0 {
-						break
-					}
-					continue
-				}
-				facts := db.stringFacts(atom.Pred)
-				db.stats.JoinProbes += int64(len(facts)) * int64(len(bindings))
-				for _, b := range bindings {
-					for _, f := range facts {
-						if nb, ok := unify(atom, f, b); ok {
-							next = append(next, nb)
+				} else {
+					facts := db.stringFacts(atom.Pred)
+					db.stats.JoinProbes += int64(len(facts)) * int64(len(bindings))
+					for _, b := range bindings {
+						for _, f := range facts {
+							if nb, ok := unify(atom, f, b); ok {
+								next = append(next, nb)
+							}
 						}
 					}
 				}
@@ -72,11 +65,7 @@ func (db *Database) RunNaive(rules []Rule) error {
 				}
 			}
 			for _, b := range bindings {
-				f, err := substitute(r.Head, b)
-				if err != nil {
-					return err
-				}
-				if db.Assert(f) {
+				if db.Assert(substitute(r.Head, b)) {
 					db.stats.Derived++
 					derived = true
 				}
@@ -84,7 +73,7 @@ func (db *Database) RunNaive(rules []Rule) error {
 		}
 		db.stats.Iterations++
 		if !derived {
-			return nil
+			return
 		}
 	}
 }

@@ -3,6 +3,7 @@ package datalog
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -12,8 +13,8 @@ import (
 // This file defines the rule language of the Datalog evaluator over
 // the n/e/p fact representation of provenance graphs: terms, atoms,
 // rules, the fact database, and the concrete-syntax parser. The
-// evaluation engines live in engine.go (the production semi-naive
-// engine) and naive.go (the frozen naive reference).
+// program checks live in engine.go, the production evaluation engine
+// in interned.go and the frozen naive oracle in naive.go.
 //
 // The paper stores benchmark results as Datalog precisely so that they
 // can be queried; the Dora use case (Section 3.1, suspicious-activity
@@ -118,41 +119,31 @@ func (f Fact) String() string {
 // relation is the columnar store of one predicate's facts: every
 // constant is interned into the database's symbol table and each
 // argument position lives in its own dense []uint32 column, so the
-// interned engine joins integers, never strings. The string-facing
-// surfaces (Facts, the frozen string engines, Query formatting)
-// materialize Fact values lazily from the columns through the symbol
-// table, extending a per-relation watermark cache — columns are
-// append-only, so the cache never invalidates.
-//
-// Predicates asserted with more than one arity (legal, if exotic)
-// flip the relation into mixed mode: a plain []Fact list that the
-// string engines evaluate as before, while the interned engine falls
-// back to the string path for any stratum touching it.
+// engine and Query join integers, never strings. A predicate has one
+// arity: Assert panics on a fact that disagrees with it, and Run
+// rejects programs that do. The string-facing surfaces (Facts, the
+// naive oracle) materialize Fact values lazily from the columns
+// through the symbol table, extending a per-relation watermark cache —
+// columns are append-only, so the cache never invalidates.
 type relation struct {
 	pred  string
 	arity int
-	cols  [][]uint32 // one column per argument position; nil when mixed
+	cols  [][]uint32 // one column per argument position
 	rows  int
-	// htab dedups regular relations without per-fact allocation: an
-	// open-addressing table of row indices whose keys ARE the column
-	// values (compare-on-probe), grown at 3/4 load. Mixed relations
-	// fall back to dedup, a packed-tuple map (tuple byte length encodes
-	// arity, so arities cannot collide).
-	htab  []int32
-	dedup map[string]struct{}
-	// strFacts lazily mirrors the columns as Fact values; in mixed mode
-	// it is the authoritative (and complete) fact list.
+	// htab dedups rows without per-fact allocation: an open-addressing
+	// table of row indices whose keys ARE the column values
+	// (compare-on-probe), grown at 3/4 load.
+	htab []int32
+	// strFacts lazily mirrors the columns as Fact values.
 	strFacts []Fact
-	mixed    bool
 	// listed records whether the predicate has entered db.preds — it
 	// does on the first stored row, not on relation creation, so
 	// pre-created head relations that never derive stay invisible.
 	listed bool
-	// strIdx holds the string engines' bound-position indexes, intIdx
-	// the interned engine's integer-keyed ones; both build on first
-	// probe and extend lazily as rows arrive.
-	strIdx map[string]*predIndex
-	intIdx map[string]*intIndex
+	// intIdx holds the bound-position indexes the engine and Query
+	// probe; each builds on first probe and extends lazily as rows
+	// arrive.
+	intIdx []*intIndex
 }
 
 // Database holds base and derived facts, interned and stored columnar
@@ -193,7 +184,7 @@ func (db *Database) intern(s string) uint32 {
 }
 
 // packTuple appends the 4-byte little-endian encoding of each value —
-// the canonical map key for dedup and integer indexes.
+// the map key of index buckets and Query's dedup set.
 func packTuple(buf []byte, vals []uint32) []byte {
 	for _, v := range vals {
 		buf = append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
@@ -202,35 +193,30 @@ func packTuple(buf []byte, vals []uint32) []byte {
 }
 
 // Assert adds a fact if not already present; it reports whether the
-// fact was new.
+// fact was new. It panics when the predicate already holds facts of a
+// different arity: callers assert fixed-arity base facts (LoadGraph),
+// and rule-derived facts reach the store through Run, which rejects
+// mismatched programs up front.
 func (db *Database) Assert(f Fact) bool {
 	rel := db.getRel(f.Pred, len(f.Args))
+	if len(f.Args) != rel.arity {
+		panic(fmt.Sprintf("datalog: arity mismatch: asserting %s with arity %d, but %s holds facts of arity %d",
+			f, len(f.Args), f.Pred, rel.arity))
+	}
 	db.tupBuf = db.tupBuf[:0]
 	for _, a := range f.Args {
 		db.tupBuf = append(db.tupBuf, db.intern(a))
-	}
-	if !rel.mixed && len(f.Args) != rel.arity {
-		rel.toMixed(db)
-	}
-	if rel.mixed {
-		db.keyBuf = packTuple(db.keyBuf[:0], db.tupBuf)
-		if _, dup := rel.dedup[string(db.keyBuf)]; dup {
-			return false
-		}
-		rel.dedup[string(db.keyBuf)] = struct{}{}
-		rel.strFacts = append(rel.strFacts, Fact{Pred: f.Pred, Args: append([]string(nil), f.Args...)})
-		rel.rows++
-		db.list(rel)
-		return true
 	}
 	return db.assertInterned(rel, db.tupBuf)
 }
 
 // getRel returns the predicate's relation, creating an empty (and
-// unlisted) columnar one of the given arity when absent.
+// unlisted) columnar one of the given arity when absent. A relation
+// that holds no facts yet has no arity to keep, so asking for another
+// arity replaces it.
 func (db *Database) getRel(pred string, arity int) *relation {
 	rel := db.rels[pred]
-	if rel == nil {
+	if rel == nil || rel.rows == 0 && rel.arity != arity {
 		rel = &relation{
 			pred:  pred,
 			arity: arity,
@@ -250,9 +236,8 @@ func (db *Database) list(rel *relation) {
 }
 
 // assertInterned is Assert for an already-interned tuple — the
-// interned engine's merge path, which never touches strings. The
-// relation must be regular (non-mixed) with matching arity; the
-// engine's compiler guarantees both.
+// engine's merge path, which never touches strings. The tuple's arity
+// must match the relation's; plan guarantees it for derived facts.
 func (db *Database) assertInterned(rel *relation, tuple []uint32) bool {
 	if !rel.insertTuple(tuple) {
 		return false
@@ -334,31 +319,9 @@ func (rel *relation) grow() {
 	}
 }
 
-// toMixed converts a columnar relation to a plain fact list after a
-// mixed-arity assert; the interned engine refuses mixed relations and
-// evaluates such strata through the string path instead.
-func (rel *relation) toMixed(db *Database) {
-	rel.strings(db) // materialize every row first
-	rel.dedup = make(map[string]struct{}, rel.rows)
-	tuple := make([]uint32, rel.arity)
-	for r := 0; r < rel.rows; r++ {
-		for i := range tuple {
-			tuple[i] = rel.cols[i][r]
-		}
-		rel.dedup[string(packTuple(nil, tuple))] = struct{}{}
-	}
-	rel.mixed = true
-	rel.cols = nil
-	rel.htab = nil
-	rel.intIdx = nil
-}
-
 // strings materializes (and caches) the relation's facts as string
-// tuples; in mixed mode the cache is the store itself.
+// tuples.
 func (rel *relation) strings(db *Database) []Fact {
-	if rel.mixed {
-		return rel.strFacts
-	}
 	for r := len(rel.strFacts); r < rel.rows; r++ {
 		args := make([]string, rel.arity)
 		for i := range args {
@@ -370,8 +333,7 @@ func (rel *relation) strings(db *Database) []Fact {
 }
 
 // stringFacts returns a predicate's facts as string tuples in
-// assertion order — the view the frozen string engines and the query
-// formatter share. The returned slice is the cache; callers must not
+// assertion order — the view the naive oracle and Facts share. The returned slice is the cache; callers must not
 // mutate it.
 func (db *Database) stringFacts(pred string) []Fact {
 	rel := db.rels[pred]
@@ -470,52 +432,127 @@ func unify(a Atom, f Fact, b binding) (binding, bool) {
 	return out, true
 }
 
-// substitute instantiates the head atom under a binding.
-func substitute(head Atom, b binding) (Fact, error) {
+// substitute instantiates the head atom under a binding; checkRules
+// has proved the head wildcard-free and every head variable bound.
+func substitute(head Atom, b binding) Fact {
 	args := make([]string, len(head.Terms))
 	for i, t := range head.Terms {
-		switch {
-		case t.Wild:
-			return Fact{}, fmt.Errorf("datalog: wildcard in rule head %s", head)
-		case t.Var != "":
-			v, ok := b[t.Var]
-			if !ok {
-				return Fact{}, fmt.Errorf("datalog: unbound head variable %s in %s", t.Var, head)
-			}
-			args[i] = v
-		default:
+		if t.Var != "" {
+			args[i] = b[t.Var]
+		} else {
 			args[i] = t.Const
 		}
 	}
-	return Fact{Pred: head.Pred, Args: args}, nil
+	return Fact{Pred: head.Pred, Args: args}
 }
 
 // Query evaluates a single goal atom against the database and returns
 // the matching bindings, deduplicated and sorted for determinism.
 // Deduplication matters for goals with wildcards: q(X, _) over q(a,b)
 // and q(a,c) yields {X:a} once, not once per matching fact.
+//
+// It runs over the interned columns: the goal's constant positions
+// probe a bound-position index (counting the bucket as JoinProbes),
+// and a goal without constants scans the full extent (counting every
+// row). Repeated variables unify per row, and only matching rows are
+// materialized as strings.
 func (db *Database) Query(goal Atom) []map[string]string {
-	var out []map[string]string
-	dedup := map[string]bool{}
-	for _, b := range db.joinPositive(Atom{Pred: goal.Pred, Terms: goal.Terms}, binding{}, nil) {
-		k := bindingKey(b)
-		if dedup[k] {
+	rel := db.rels[goal.Pred]
+	if rel == nil {
+		return nil
+	}
+	var keyPos []int
+	var keyVals []uint32
+	for i, t := range goal.Terms {
+		if t.Wild || t.Var != "" {
 			continue
 		}
-		dedup[k] = true
-		m := make(map[string]string, len(b))
-		for k, v := range b {
-			m[k] = v
+		id, ok := db.symID[t.Const]
+		if !ok || i >= rel.arity {
+			return nil // no stored row matches: the bucket is empty
 		}
-		out = append(out, m)
+		keyPos = append(keyPos, i)
+		keyVals = append(keyVals, id)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return bindingKey(out[i]) < bindingKey(out[j])
-	})
+	var bucket []int32
+	if len(keyPos) == 0 {
+		db.stats.JoinProbes += int64(rel.rows)
+	} else {
+		ix := rel.intIndexFor(keyPos)
+		db.keyBuf = ix.extend(rel, db.keyBuf)
+		db.keyBuf = packTuple(db.keyBuf[:0], keyVals)
+		bucket = ix.m[string(db.keyBuf)]
+		db.stats.JoinProbes += int64(len(bucket))
+	}
+	if len(goal.Terms) != rel.arity {
+		return nil
+	}
+	// Each variable binds at its first position; later occurrences must
+	// hold the same value.
+	var vars []string
+	var varPos []int
+	var repeats [][2]int // {position, first position}
+	for i, t := range goal.Terms {
+		if t.Var == "" {
+			continue
+		}
+		if j := slices.Index(vars, t.Var); j >= 0 {
+			repeats = append(repeats, [2]int{i, varPos[j]})
+			continue
+		}
+		vars = append(vars, t.Var)
+		varPos = append(varPos, i)
+	}
+	type match struct {
+		key string
+		m   map[string]string
+	}
+	var matches []match
+	seen := map[string]bool{}
+	visit := func(r int) {
+		for _, rp := range repeats {
+			if rel.cols[rp[0]][r] != rel.cols[rp[1]][r] {
+				return
+			}
+		}
+		db.tupBuf = db.tupBuf[:0]
+		for _, p := range varPos {
+			db.tupBuf = append(db.tupBuf, rel.cols[p][r])
+		}
+		db.keyBuf = packTuple(db.keyBuf[:0], db.tupBuf)
+		if seen[string(db.keyBuf)] {
+			return
+		}
+		seen[string(db.keyBuf)] = true
+		m := make(map[string]string, len(vars))
+		for i, v := range vars {
+			m[v] = db.syms[db.tupBuf[i]]
+		}
+		matches = append(matches, match{bindingKey(m), m})
+	}
+	if len(keyPos) == 0 {
+		for r := 0; r < rel.rows; r++ {
+			visit(r)
+		}
+	} else {
+		for _, r := range bucket {
+			visit(int(r))
+		}
+	}
+	if len(matches) == 0 {
+		return nil
+	}
+	sort.Slice(matches, func(i, j int) bool { return matches[i].key < matches[j].key })
+	out := make([]map[string]string, len(matches))
+	for i, mt := range matches {
+		out[i] = mt.m
+	}
 	return out
 }
 
-func bindingKey[M ~map[string]string](m M) string {
+// bindingKey renders a binding with its variables sorted — the order
+// Query sorts its results by.
+func bindingKey(m map[string]string) string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

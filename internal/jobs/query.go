@@ -143,8 +143,9 @@ func EvalQuery(req *wire.QueryRequest, res *wire.Result) (*wire.QueryResponse, e
 	db := datalog.NewDatabase()
 	db.LoadGraph(g)
 	if err := db.Run(rules); err != nil {
-		// Unreachable: the analyzer's error set covers the engine's
-		// rejections; kept as a client error out of caution.
+		// Unreachable: an analysis-clean program and its goal-pruned
+		// form always run — the invariant FuzzAnalyzeRules
+		// (internal/datalog/analyze) fuzzes. Kept as a client error.
 		return nil, err
 	}
 	bindings := db.Query(goal)
