@@ -6,8 +6,10 @@
 //
 //   - cardinality-1 choice rules  {h(X,Y) : ...} = 1 :- item(X)
 //     become selection groups: exactly one atom per group is true;
-//   - integrity constraints between two atoms (the injectivity rules
-//     :- X<>Y, h(X,Z), h(Y,Z)) become conflict pairs;
+//   - the injectivity rules :- X<>Y, h(X,Z), h(Y,Z) become at-most-one
+//     sets, one per element Z, so the ground program grows with the
+//     number of candidate atoms rather than with the number of pairs
+//     of them (a conflict between two atoms is the two-atom set);
 //   - constraints of the form :- h(E1,E2), not h(X,Y) (edge endpoint
 //     preservation) become implications h(E1,E2) -> h(X,Y);
 //   - #minimize { PC,X,K : cost(X,K,PC) } becomes per-atom integer
@@ -20,13 +22,21 @@
 // The solver is a depth-first search with unit propagation over groups
 // (minimum-remaining-values ordering) and branch-and-bound pruning on
 // the weight objective. It is deterministic: given the same problem it
-// explores candidates in construction order.
+// explores candidates in construction order. The search state is
+// incremental, so a search node costs time in proportion to the atoms
+// it touches rather than to the whole problem: removing or restoring
+// an atom updates its group's alive count and a count of wiped-out
+// groups, which make variable selection and the fail-fast check
+// O(groups) and O(1). Under SolveMin each group also keeps the minimum
+// weight among its alive atoms; removing that atom only marks the
+// minimum stale, and the bound recomputes stale minima when it next
+// needs them.
 package asp
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync/atomic"
 )
@@ -46,14 +56,23 @@ type Atom struct {
 type Problem struct {
 	atoms     []Atom
 	groups    [][]AtomID // exactly one atom per group must hold
-	conflicts [][]AtomID // conflicts[a] = atoms that cannot hold with a
 	implies   [][]AtomID // implies[a] = atoms forced when a holds
 	groupName []string
+
+	// At-most-one sets, flat: set k holds setAtoms[setStart[k]:setStart[k+1]].
+	setAtoms []AtomID
+	setStart []int32
+	// Set membership as per-atom linked lists: memberHead[a] is a's
+	// first entry (-1 for none); entry e names set memberSet[e] and
+	// links to memberNext[e].
+	memberHead []int32
+	memberSet  []int32
+	memberNext []int32
 }
 
 // NewProblem returns an empty problem.
 func NewProblem() *Problem {
-	return &Problem{}
+	return &Problem{setStart: []int32{0}}
 }
 
 // AddGroup creates a selection group (one X that must be matched) and
@@ -69,15 +88,31 @@ func (p *Problem) AddAtom(group int, x, y string, weight int) AtomID {
 	id := AtomID(len(p.atoms))
 	p.atoms = append(p.atoms, Atom{X: x, Y: y, Group: group, Weight: weight})
 	p.groups[group] = append(p.groups[group], id)
-	p.conflicts = append(p.conflicts, nil)
 	p.implies = append(p.implies, nil)
+	p.memberHead = append(p.memberHead, -1)
 	return id
 }
 
-// AddConflict forbids a and b from holding together.
+// AddAtMostOne forbids any two of atoms from holding together. A set of
+// fewer than two atoms constrains nothing and is not stored.
+func (p *Problem) AddAtMostOne(atoms []AtomID) {
+	if len(atoms) < 2 {
+		return
+	}
+	set := int32(len(p.setStart) - 1)
+	p.setAtoms = append(p.setAtoms, atoms...)
+	p.setStart = append(p.setStart, int32(len(p.setAtoms)))
+	for _, a := range atoms {
+		p.memberSet = append(p.memberSet, set)
+		p.memberNext = append(p.memberNext, p.memberHead[a])
+		p.memberHead[a] = int32(len(p.memberSet) - 1)
+	}
+}
+
+// AddConflict forbids a and b from holding together: the two-atom
+// at-most-one set.
 func (p *Problem) AddConflict(a, b AtomID) {
-	p.conflicts[a] = append(p.conflicts[a], b)
-	p.conflicts[b] = append(p.conflicts[b], a)
+	p.AddAtMostOne([]AtomID{a, b})
 }
 
 // AddImplication records that selecting a forces selecting b.
@@ -93,6 +128,11 @@ func (p *Problem) NumAtoms() int { return len(p.atoms) }
 
 // NumGroups reports how many selection groups the problem has.
 func (p *Problem) NumGroups() int { return len(p.groups) }
+
+// set returns the members of at-most-one set k.
+func (p *Problem) set(k int32) []AtomID {
+	return p.setAtoms[p.setStart[k]:p.setStart[k+1]]
+}
 
 // ErrUnsat is returned when no model exists.
 var ErrUnsat = errors.New("asp: unsatisfiable")
@@ -129,30 +169,14 @@ func (p *Problem) SolveMin() (*Solution, error) {
 // or after limit models (limit <= 0 means unbounded). It returns the
 // number of models visited.
 func (p *Problem) SolveAll(limit int, fn func(*Solution) bool) int {
-	s := &state{
-		p:        p,
-		alive:    make([]bool, len(p.atoms)),
-		chosen:   make([]AtomID, len(p.groups)),
-		bestCost: int(^uint(0) >> 1),
-	}
-	for i := range s.alive {
-		s.alive[i] = true
-	}
-	for i := range s.chosen {
-		s.chosen[i] = -1
-	}
-	for _, g := range p.groups {
-		if len(g) == 0 {
-			return 0
-		}
+	s := newState(p, false)
+	if s.wiped > 0 {
+		return 0
 	}
 	count := 0
 	stopped := false
 	var enumerate func()
 	enumerate = func() {
-		if stopped {
-			return
-		}
 		gi := s.pickGroup()
 		if gi < 0 {
 			count++
@@ -162,61 +186,77 @@ func (p *Problem) SolveAll(limit int, fn func(*Solution) bool) int {
 			}
 			return
 		}
-		var cands []AtomID
-		for _, a := range s.p.groups[gi] {
-			if s.alive[a] {
-				cands = append(cands, a)
+		start := s.pushCandidates(gi)
+		for i := start; i < len(s.cands) && !stopped; i++ {
+			if a := s.cands[i]; s.alive[a] {
+				if s.choose(a) {
+					enumerate()
+				}
+				s.undo()
 			}
 		}
-		for _, a := range cands {
-			if stopped {
-				return
-			}
-			if !s.alive[a] {
-				continue
-			}
-			if s.choose(a) {
-				enumerate()
-			}
-			s.undo()
-		}
+		s.cands = s.cands[:start]
 	}
 	enumerate()
 	return count
 }
 
-// state carries the mutable search data. Candidate sets are represented
-// as per-group slices of still-alive atom ids; removals are trailed for
-// backtracking.
+const maxInt = int(^uint(0) >> 1)
+
+// state carries the mutable search data. Removals and selections are
+// trailed for backtracking; the per-group counts and minima are kept
+// in step with every removal and restoration.
 type state struct {
 	p         *Problem
 	alive     []bool   // per atom
 	chosen    []AtomID // per group, -1 if open
-	nChosen   int
+	nAlive    []int32  // per group: alive atoms (a chosen atom stays alive)
+	wiped     int      // groups with no alive atom
 	cost      int
 	trail     []AtomID // atoms killed, for undo
 	trailMark []int
+	cands     []AtomID // stack of the candidate lists of open search nodes
 	best      *Solution
 	bestCost  int
 	optimize  bool
-	minWeight []int // per group: min weight among alive atoms (recomputed lazily)
+	// Under optimize only: minW[g] is the minimum weight among g's
+	// alive atoms unless minStale[g] is set.
+	minW     []int
+	minStale []bool
 }
 
-func (p *Problem) solve(optimize bool) (*Solution, error) {
-	solveInvocations.Add(1)
+func newState(p *Problem, optimize bool) *state {
 	s := &state{
 		p:        p,
 		alive:    make([]bool, len(p.atoms)),
 		chosen:   make([]AtomID, len(p.groups)),
+		nAlive:   make([]int32, len(p.groups)),
 		optimize: optimize,
-		bestCost: int(^uint(0) >> 1),
+		bestCost: maxInt,
 	}
 	for i := range s.alive {
 		s.alive[i] = true
 	}
-	for i := range s.chosen {
-		s.chosen[i] = -1
+	for gi, g := range p.groups {
+		s.chosen[gi] = -1
+		s.nAlive[gi] = int32(len(g))
+		if len(g) == 0 {
+			s.wiped++
+		}
 	}
+	if optimize {
+		s.minW = make([]int, len(p.groups))
+		s.minStale = make([]bool, len(p.groups))
+		for gi := range p.groups {
+			s.minStale[gi] = true
+		}
+	}
+	return s
+}
+
+func (p *Problem) solve(optimize bool) (*Solution, error) {
+	solveInvocations.Add(1)
+	s := newState(p, optimize)
 	for gi, g := range p.groups {
 		if len(g) == 0 {
 			return nil, fmt.Errorf("%w: group %s has no candidates", ErrUnsat, p.groupName[gi])
@@ -237,13 +277,16 @@ func (s *state) lowerBound() int {
 		if s.chosen[gi] >= 0 {
 			continue
 		}
-		minW := int(^uint(0) >> 1)
-		for _, a := range g {
-			if s.alive[a] && s.p.atoms[a].Weight < minW {
-				minW = s.p.atoms[a].Weight
+		if s.minStale[gi] {
+			minW := maxInt
+			for _, a := range g {
+				if s.alive[a] && s.p.atoms[a].Weight < minW {
+					minW = s.p.atoms[a].Weight
+				}
 			}
+			s.minW[gi], s.minStale[gi] = minW, false
 		}
-		lb += minW
+		lb += s.minW[gi]
 	}
 	return lb
 }
@@ -251,18 +294,12 @@ func (s *state) lowerBound() int {
 // pickGroup returns the open group with the fewest alive candidates
 // (minimum remaining values), or -1 if all groups are decided.
 func (s *state) pickGroup() int {
-	best, bestN := -1, int(^uint(0)>>1)
-	for gi, g := range s.p.groups {
+	best, bestN := -1, maxInt
+	for gi := range s.nAlive {
 		if s.chosen[gi] >= 0 {
 			continue
 		}
-		n := 0
-		for _, a := range g {
-			if s.alive[a] {
-				n++
-			}
-		}
-		if n < bestN {
+		if n := int(s.nAlive[gi]); n < bestN {
 			best, bestN = gi, n
 			if n <= 1 {
 				break
@@ -270,6 +307,19 @@ func (s *state) pickGroup() int {
 		}
 	}
 	return best
+}
+
+// pushCandidates copies group gi's alive atoms onto the candidate
+// stack (selections mutate alive) and returns where they start. The
+// caller truncates the stack back to that index when done.
+func (s *state) pushCandidates(gi int) int {
+	start := len(s.cands)
+	for _, a := range s.p.groups[gi] {
+		if s.alive[a] {
+			s.cands = append(s.cands, a)
+		}
+	}
+	return start
 }
 
 func (s *state) search() {
@@ -283,19 +333,14 @@ func (s *state) search() {
 		s.bestCost = s.cost
 		return
 	}
-	// Copy the alive candidates for this group: selections mutate alive.
-	var cands []AtomID
-	for _, a := range s.p.groups[gi] {
-		if s.alive[a] {
-			cands = append(cands, a)
-		}
-	}
+	start := s.pushCandidates(gi)
 	if s.optimize {
-		sort.SliceStable(cands, func(i, j int) bool {
-			return s.p.atoms[cands[i]].Weight < s.p.atoms[cands[j]].Weight
+		slices.SortStableFunc(s.cands[start:], func(a, b AtomID) int {
+			return s.p.atoms[a].Weight - s.p.atoms[b].Weight
 		})
 	}
-	for _, a := range cands {
+	for i := start; i < len(s.cands); i++ {
+		a := s.cands[i]
 		if !s.alive[a] {
 			continue
 		}
@@ -303,17 +348,19 @@ func (s *state) search() {
 			s.search()
 			if !s.optimize && s.best != nil {
 				s.undo()
-				return
+				break
 			}
 		}
 		s.undo()
 	}
+	s.cands = s.cands[:start]
 }
 
-// choose selects atom a and propagates: kill conflicting atoms, kill the
-// group's other candidates, and force implications (recursively). It
-// returns false if propagation wipes out some group or contradicts an
-// earlier choice; the caller must still undo.
+// choose selects atom a and propagates: kill the atoms sharing an
+// at-most-one set with it, kill the group's other candidates, and force
+// implications (recursively). It returns false if propagation wipes out
+// some group or contradicts an earlier choice; the caller must still
+// undo.
 func (s *state) choose(a AtomID) bool {
 	s.trailMark = append(s.trailMark, len(s.trail))
 	return s.propagate(a)
@@ -328,7 +375,6 @@ func (s *state) propagate(a AtomID) bool {
 		return false
 	}
 	s.chosen[at.Group] = a
-	s.nChosen++
 	s.cost += at.Weight
 	s.trail = append(s.trail, -a-1000000) // selection marker, see undo
 	for _, other := range s.p.groups[at.Group] {
@@ -336,15 +382,15 @@ func (s *state) propagate(a AtomID) bool {
 			s.kill(other)
 		}
 	}
-	for _, c := range s.p.conflicts[a] {
-		if s.alive[c] {
-			ca := s.p.atoms[c]
-			if s.chosen[ca.Group] == c {
+	for e := s.p.memberHead[a]; e >= 0; e = s.p.memberNext[e] {
+		for _, c := range s.p.set(s.p.memberSet[e]) {
+			if c == a || !s.alive[c] {
+				continue // a chosen atom stays alive, so a dead one is not chosen
+			}
+			if s.chosen[s.p.atoms[c].Group] == c {
 				return false // conflict with an earlier selection
 			}
 			s.kill(c)
-		} else if s.chosen[s.p.atoms[c].Group] == c {
-			return false
 		}
 	}
 	for _, imp := range s.p.implies[a] {
@@ -359,28 +405,31 @@ func (s *state) propagate(a AtomID) bool {
 			return false
 		}
 	}
-	// Fail fast if any open group lost all candidates.
-	for gi, g := range s.p.groups {
-		if s.chosen[gi] >= 0 {
-			continue
-		}
-		any := false
-		for _, x := range g {
-			if s.alive[x] {
-				any = true
-				break
-			}
-		}
-		if !any {
-			return false
-		}
-	}
-	return true
+	return s.wiped == 0 // fail fast if any open group lost all candidates
 }
 
 func (s *state) kill(a AtomID) {
 	s.alive[a] = false
 	s.trail = append(s.trail, a)
+	at := &s.p.atoms[a]
+	if s.nAlive[at.Group]--; s.nAlive[at.Group] == 0 {
+		s.wiped++
+	}
+	if s.optimize && at.Weight == s.minW[at.Group] {
+		s.minStale[at.Group] = true
+	}
+}
+
+func (s *state) revive(a AtomID) {
+	s.alive[a] = true
+	at := &s.p.atoms[a]
+	if s.nAlive[at.Group] == 0 {
+		s.wiped--
+	}
+	s.nAlive[at.Group]++
+	if s.optimize && !s.minStale[at.Group] && at.Weight < s.minW[at.Group] {
+		s.minW[at.Group] = at.Weight
+	}
 }
 
 func (s *state) undo() {
@@ -393,10 +442,9 @@ func (s *state) undo() {
 			a := AtomID(-(x + 1000000))
 			at := s.p.atoms[a]
 			s.chosen[at.Group] = -1
-			s.nChosen--
 			s.cost -= at.Weight
 		} else {
-			s.alive[x] = true
+			s.revive(x)
 		}
 	}
 }
@@ -412,19 +460,15 @@ func (p *Problem) Render() string {
 		}
 		fmt.Fprintf(&b, "{ %s } = 1. %% group %s\n", strings.Join(names, "; "), p.groupName[gi])
 	}
-	seen := map[[2]AtomID]bool{}
-	for a, cs := range p.conflicts {
-		for _, c := range cs {
-			k := [2]AtomID{AtomID(a), c}
-			if k[0] > k[1] {
-				k[0], k[1] = k[1], k[0]
-			}
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			fmt.Fprintf(&b, ":- h(%s,%s), h(%s,%s).\n",
-				p.atoms[k[0]].X, p.atoms[k[0]].Y, p.atoms[k[1]].X, p.atoms[k[1]].Y)
+	for k := int32(0); k < int32(len(p.setStart)-1); k++ {
+		names := make([]string, 0, 2)
+		for _, a := range p.set(k) {
+			names = append(names, fmt.Sprintf("h(%s,%s)", p.atoms[a].X, p.atoms[a].Y))
+		}
+		if len(names) == 2 {
+			fmt.Fprintf(&b, ":- %s, %s.\n", names[0], names[1])
+		} else {
+			fmt.Fprintf(&b, ":- 2 { %s }.\n", strings.Join(names, "; "))
 		}
 	}
 	for a, imps := range p.implies {

@@ -2,6 +2,7 @@ package asp
 
 import (
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -232,5 +233,59 @@ func TestDeterministicSolutions(t *testing.T) {
 	}
 	if s1.Cost != s2.Cost || s1.Selected[0] != s2.Selected[0] || s1.Selected[1] != s2.Selected[1] {
 		t.Error("solver is not deterministic")
+	}
+}
+
+// TestIncrementalStateMatchesRecount drives random choose/undo walks on
+// random problems and checks after every step that the incremental
+// search state equals a recount from the alive flags: each group's
+// alive count, the wiped-group count, and every minimum weight not
+// marked stale. A drift here would change the search tree without
+// changing any answer.
+func TestIncrementalStateMatchesRecount(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := randomProblem(rng)
+		s := newState(p, true)
+		for step := 0; step < 40; step++ {
+			var open []AtomID
+			for a, at := range p.atoms {
+				if s.alive[a] && s.chosen[at.Group] < 0 {
+					open = append(open, AtomID(a))
+				}
+			}
+			if len(s.trailMark) > 0 && (len(open) == 0 || rng.Intn(3) == 0) {
+				s.undo()
+			} else if len(open) > 0 {
+				s.choose(open[rng.Intn(len(open))])
+			}
+			if rng.Intn(2) == 0 {
+				s.lowerBound() // refresh the open groups' stale minima
+			}
+			for gi, g := range p.groups {
+				n, minW := 0, maxInt
+				for _, a := range g {
+					if s.alive[a] {
+						n++
+						minW = min(minW, p.atoms[a].Weight)
+					}
+				}
+				if int(s.nAlive[gi]) != n {
+					t.Fatalf("seed %d step %d: group %d alive count %d, recount %d", seed, step, gi, s.nAlive[gi], n)
+				}
+				if !s.minStale[gi] && s.minW[gi] != minW {
+					t.Fatalf("seed %d step %d: group %d minimum %d, recount %d", seed, step, gi, s.minW[gi], minW)
+				}
+			}
+			wiped := 0
+			for _, n := range s.nAlive {
+				if n == 0 {
+					wiped++
+				}
+			}
+			if s.wiped != wiped {
+				t.Fatalf("seed %d step %d: wiped %d, recount %d", seed, step, s.wiped, wiped)
+			}
+		}
 	}
 }

@@ -7,13 +7,14 @@ import (
 )
 
 // bruteMin enumerates every complete selection (one atom per group) and
-// returns the minimum cost among those satisfying all conflicts and
-// implications, or -1 when unsatisfiable. Exponential — used only on
-// tiny random instances as an oracle for the solver.
-func bruteMin(p *Problem) int {
+// returns the minimum cost among those satisfying all at-most-one sets
+// and implications, or -1 when unsatisfiable, together with how many
+// selections satisfy them. Exponential — used only on tiny instances as
+// an oracle for the solver.
+func bruteMin(p *Problem) (best, models int) {
 	n := p.NumGroups()
 	selected := make([]AtomID, n)
-	best := -1
+	best = -1
 	var rec func(g int)
 	rec = func(g int) {
 		if g == n {
@@ -23,18 +24,25 @@ func bruteMin(p *Problem) int {
 				chosen[a] = true
 				cost += p.Atom(a).Weight
 			}
-			for _, a := range selected {
-				for _, c := range p.conflicts[a] {
-					if chosen[c] {
-						return
+			for k := int32(0); k < int32(len(p.setStart)-1); k++ {
+				held := map[AtomID]bool{} // a set is a set: repeats count once
+				for _, a := range p.set(k) {
+					if chosen[a] {
+						held[a] = true
 					}
 				}
+				if len(held) > 1 {
+					return
+				}
+			}
+			for _, a := range selected {
 				for _, imp := range p.implies[a] {
 					if !chosen[imp] {
 						return
 					}
 				}
 			}
+			models++
 			if best < 0 || cost < best {
 				best = cost
 			}
@@ -46,11 +54,12 @@ func bruteMin(p *Problem) int {
 		}
 	}
 	rec(0)
-	return best
+	return best, models
 }
 
-// randomProblem builds a small random instance with groups, shared-
-// target conflicts and a few implications.
+// randomProblem builds a small random instance with groups, one
+// injectivity set per shared target, a few further at-most-one sets of
+// two to five atoms, and a few implications.
 func randomProblem(rng *rand.Rand) *Problem {
 	p := NewProblem()
 	nGroups := 2 + rng.Intn(4)
@@ -70,13 +79,15 @@ func randomProblem(rng *rand.Rand) *Problem {
 	}
 	// Injectivity over shared targets.
 	for _, atoms := range atomsByTarget {
-		for i := 0; i < len(atoms); i++ {
-			for j := i + 1; j < len(atoms); j++ {
-				if p.Atom(atoms[i]).Group != p.Atom(atoms[j]).Group {
-					p.AddConflict(atoms[i], atoms[j])
-				}
-			}
+		p.AddAtMostOne(atoms)
+	}
+	// A few random at-most-one sets; members may repeat or share a group.
+	for i := 0; i < rng.Intn(3); i++ {
+		set := make([]AtomID, 2+rng.Intn(4))
+		for j := range set {
+			set[j] = all[rng.Intn(len(all))]
 		}
+		p.AddAtMostOne(set)
 	}
 	// A few random implications between atoms of different groups.
 	for i := 0; i < rng.Intn(3); i++ {
@@ -89,23 +100,41 @@ func randomProblem(rng *rand.Rand) *Problem {
 	return p
 }
 
-// TestSolverMatchesBruteForce: on random tiny instances, SolveMin must
-// agree with exhaustive enumeration on both satisfiability and optimum.
+// checkAgainstBrute compares SolveMin's cost, Solve's satisfiability
+// and SolveAll's model count with exhaustive enumeration.
+func checkAgainstBrute(t *testing.T, p *Problem) bool {
+	t.Helper()
+	want, models := bruteMin(p)
+	sol, err := p.SolveMin()
+	switch {
+	case want < 0 && err == nil:
+		t.Logf("SolveMin found cost %d but brute force is unsat", sol.Cost)
+		return false
+	case want >= 0 && err != nil:
+		t.Logf("SolveMin unsat but brute force found cost %d", want)
+		return false
+	case want >= 0 && sol.Cost != want:
+		t.Logf("SolveMin cost %d, brute force %d", sol.Cost, want)
+		return false
+	}
+	if _, err := p.Solve(); (err == nil) != (want >= 0) {
+		t.Logf("Solve err %v, brute force min %d", err, want)
+		return false
+	}
+	if got := p.SolveAll(0, func(*Solution) bool { return true }); got != models {
+		t.Logf("SolveAll visited %d models, brute force counts %d", got, models)
+		return false
+	}
+	return true
+}
+
+// TestSolverMatchesBruteForce: on random tiny instances, the solver
+// must agree with exhaustive enumeration on satisfiability, optimum and
+// model count.
 func TestSolverMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		p := randomProblem(rng)
-		want := bruteMin(p)
-		sol, err := p.SolveMin()
-		if want < 0 {
-			return err != nil
-		}
-		if err != nil {
-			t.Logf("seed %d: solver unsat but brute force found cost %d", seed, want)
-			return false
-		}
-		if sol.Cost != want {
-			t.Logf("seed %d: solver cost %d, brute force %d", seed, sol.Cost, want)
+		if !checkAgainstBrute(t, randomProblem(rand.New(rand.NewSource(seed)))) {
+			t.Logf("seed %d", seed)
 			return false
 		}
 		return true
@@ -128,4 +157,59 @@ func TestSolveAgreesWithSolveMinOnSatisfiability(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// problemFromFuzzBytes decodes a tiny problem: up to four groups of up
+// to five weighted candidates over up to five targets, one at-most-one
+// set per target, up to two further sets of two to five atoms and up to
+// three implications. Exhausted input reads as zeros.
+func problemFromFuzzBytes(data []byte) *Problem {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := int(data[0])
+		data = data[1:]
+		return b
+	}
+	p := NewProblem()
+	nGroups := 1 + next()%4
+	nTargets := 1 + next()%5
+	byTarget := make([][]AtomID, nTargets)
+	var all []AtomID
+	for g := 0; g < nGroups; g++ {
+		gi := p.AddGroup("g")
+		for c := 1 + next()%nTargets; c > 0; c-- {
+			y := next() % nTargets
+			a := p.AddAtom(gi, "x", "y", next()%4)
+			byTarget[y] = append(byTarget[y], a)
+			all = append(all, a)
+		}
+	}
+	for _, atoms := range byTarget {
+		p.AddAtMostOne(atoms)
+	}
+	for i := next() % 3; i > 0; i-- {
+		set := make([]AtomID, 2+next()%4)
+		for j := range set {
+			set[j] = all[next()%len(all)]
+		}
+		p.AddAtMostOne(set)
+	}
+	for i := next() % 4; i > 0; i-- {
+		p.AddImplication(all[next()%len(all)], all[next()%len(all)])
+	}
+	return p
+}
+
+// FuzzSolveMin checks the solver against exhaustive enumeration on
+// decoded tiny problems.
+func FuzzSolveMin(f *testing.F) {
+	f.Add([]byte{3, 3, 2, 0, 1, 1, 2, 2, 0, 3, 1, 1, 0, 2, 1, 4, 0, 1, 2, 3, 1, 0, 2})
+	f.Add([]byte{1, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if !checkAgainstBrute(t, problemFromFuzzBytes(data)) {
+			t.Fatalf("solver disagrees with brute force on %v", data)
+		}
+	})
 }

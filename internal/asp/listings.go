@@ -7,13 +7,15 @@ package asp
 //     the cardinality-1 choice rules;
 //   - label mismatches are pruned during grounding, realizing the
 //     label-preservation constraints;
-//   - conflicts realize the injectivity constraints;
+//   - at-most-one sets realize the injectivity constraints;
 //   - implications realize the endpoint-preservation constraints;
 //   - atom weights realize cost/3 with the #minimize directive.
 //
-// TestEncodingRealizesListings in listings_test.go checks the
-// correspondence on concrete graphs by solving both encodings of small
-// instances and comparing against hand-computed answers.
+// The tests in internal/match/listings_test.go check the correspondence
+// on instances small enough to verify by hand: TestListing3Bijectivity
+// and TestListing3EndpointPreservation for Listing 3,
+// TestListing4CostSemantics for Listing 4's cost/3 rules, and
+// TestEncodingRendersAsASP for the ground program's rendering.
 
 // Listing3GraphSimilarity is the paper's graph-similarity program: an
 // exact isomorphism on structure and labels (Section 3.4).

@@ -95,7 +95,8 @@ func TestGeneralizationMinimizesTotalDiffs(t *testing.T) {
 }
 
 // TestEncodingRendersAsASP: the ground problem renders in clingo-like
-// syntax mirroring the listings' h/2 vocabulary.
+// syntax mirroring the listings' h/2 vocabulary, with each injectivity
+// set as an at-most-one constraint over the atoms sharing an image.
 func TestEncodingRendersAsASP(t *testing.T) {
 	bg := graph.New()
 	a := bg.AddNode("A", graph.Properties{"k": "v"})
@@ -103,13 +104,22 @@ func TestEncodingRendersAsASP(t *testing.T) {
 	if _, err := bg.AddEdge(a, b, "E", nil); err != nil {
 		t.Fatal(err)
 	}
+	// Two isolated A nodes (n3, n4) may map onto any A node, so three
+	// atoms compete for n1 and two for n3.
+	bg.AddNode("A", nil)
+	bg.AddNode("A", nil)
 	fg := bg.Clone()
 	enc, err := encodeSubgraph(bg, fg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := enc.problem.Render()
-	for _, want := range []string{"{ h(n1,n1) } = 1", ":- h(e1,e1), not h(n1,n1)."} {
+	for _, want := range []string{
+		"{ h(n1,n1) } = 1",
+		":- h(e1,e1), not h(n1,n1).",
+		":- 2 { h(n1,n1); h(n3,n1); h(n4,n1) }.",
+		":- h(n3,n3), h(n4,n3).",
+	} {
 		if !containsStr(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}

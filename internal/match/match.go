@@ -46,13 +46,10 @@ var ErrNotSimilar = errors.New("match: graphs are not similar")
 // recording is monotonic so this indicates a failed/garbled trial.
 var ErrNoEmbedding = errors.New("match: no subgraph embedding exists")
 
-// encoding records, for each asp group, which G1 element it stands for,
-// and for each atom, which G2 element its Y names.
+// encoding records, for each asp group, which G1 element it stands for.
 type encoding struct {
 	problem *asp.Problem
 	groupOf []graph.ElemID // group index -> G1 element
-	yOf     [][]graph.ElemID
-	atomIDs [][]asp.AtomID
 }
 
 func (enc *encoding) decode(sol *asp.Solution) Mapping {
@@ -267,134 +264,124 @@ func keepCommonProps(out *graph.Graph, id graph.ElemID, mine, theirs graph.Prope
 func encodeIso(g1, g2 *graph.Graph, wf weightFunc) (*encoding, error) {
 	c1 := graph.WLColors(g1, graph.CanonRounds)
 	c2 := graph.WLColors(g2, graph.CanonRounds)
-	p := asp.NewProblem()
-	enc := &encoding{problem: p}
-
-	nodeAtom := make(map[[2]graph.ElemID]asp.AtomID)
-	usedBy := make(map[graph.ElemID][]asp.AtomID) // G2 element -> atoms mapping onto it
-
-	for _, n1 := range g1.Nodes() {
-		gi := p.AddGroup("node " + string(n1.ID))
-		enc.groupOf = append(enc.groupOf, n1.ID)
-		any := false
-		for _, n2 := range g2.Nodes() {
-			if n1.Label != n2.Label || c1[n1.ID] != c2[n2.ID] {
-				continue
-			}
-			w := 0
-			if wf != nil {
-				w = wf(n1.Props, n2.Props)
-			}
-			a := p.AddAtom(gi, string(n1.ID), string(n2.ID), w)
-			nodeAtom[[2]graph.ElemID{n1.ID, n2.ID}] = a
-			usedBy[n2.ID] = append(usedBy[n2.ID], a)
-			any = true
-		}
-		if !any {
-			return nil, fmt.Errorf("node %s has no candidates", n1.ID)
-		}
-	}
-	for _, e1 := range g1.Edges() {
-		gi := p.AddGroup("edge " + string(e1.ID))
-		enc.groupOf = append(enc.groupOf, e1.ID)
-		any := false
-		for _, e2 := range g2.Edges() {
-			if e1.Label != e2.Label {
-				continue
-			}
-			sa, okS := nodeAtom[[2]graph.ElemID{e1.Src, e2.Src}]
-			ta, okT := nodeAtom[[2]graph.ElemID{e1.Tgt, e2.Tgt}]
-			if !okS || !okT {
-				continue
-			}
-			w := 0
-			if wf != nil {
-				w = wf(e1.Props, e2.Props)
-			}
-			a := p.AddAtom(gi, string(e1.ID), string(e2.ID), w)
-			usedBy[e2.ID] = append(usedBy[e2.ID], a)
-			p.AddImplication(a, sa)
-			p.AddImplication(a, ta)
-			any = true
-		}
-		if !any {
-			return nil, fmt.Errorf("edge %s has no candidates", e1.ID)
-		}
-	}
-	addInjectivity(p, usedBy)
-	return enc, nil
+	return ground(g1, g2, func(n1, n2 *graph.Node) bool {
+		return n1.Label == n2.Label && c1[n1.ID] == c2[n2.ID]
+	}, wf)
 }
 
 // encodeSubgraph grounds Listing 4. WL pruning is unsound for subgraph
 // embedding (the foreground has extra structure), so candidates are
-// filtered only by label and per-label degree bounds.
+// filtered only by label and per-label degree bounds: every edge label
+// incident to a background node must be at least as frequent, in the
+// same direction, at its foreground image.
 func encodeSubgraph(bg, fg *graph.Graph) (*encoding, error) {
-	p := asp.NewProblem()
-	enc := &encoding{problem: p}
-
-	degOK := func(x *graph.Node, y *graph.Node) bool {
-		// Every edge label incident to x must be at least as frequent at y.
-		need := map[string]int{}
-		for _, e := range bg.Edges() {
-			if e.Src == x.ID {
-				need[">"+e.Label]++
-			}
-			if e.Tgt == x.ID {
-				need["<"+e.Label]++
-			}
+	need, have := degreeProfiles(bg), degreeProfiles(fg)
+	return ground(bg, fg, func(x, y *graph.Node) bool {
+		if x.Label != y.Label {
+			return false
 		}
-		have := map[string]int{}
-		for _, e := range fg.Edges() {
-			if e.Src == y.ID {
-				have[">"+e.Label]++
-			}
-			if e.Tgt == y.ID {
-				have["<"+e.Label]++
-			}
-		}
-		for k, v := range need {
-			if have[k] < v {
+		for k, v := range need[x.ID] {
+			if have[y.ID][k] < v {
 				return false
 			}
 		}
 		return true
+	}, subgraphCost)
+}
+
+// degreeKey names one direction of one edge label at a node.
+type degreeKey struct {
+	out   bool
+	label string
+}
+
+// degreeProfiles counts, for every node with incident edges, its
+// incident edges per label and direction.
+func degreeProfiles(g *graph.Graph) map[graph.ElemID]map[degreeKey]int {
+	prof := make(map[graph.ElemID]map[degreeKey]int, g.NumNodes())
+	bump := func(id graph.ElemID, k degreeKey) {
+		m := prof[id]
+		if m == nil {
+			m = make(map[degreeKey]int)
+			prof[id] = m
+		}
+		m[k]++
+	}
+	for _, e := range g.Edges() {
+		bump(e.Src, degreeKey{out: true, label: e.Label})
+		bump(e.Tgt, degreeKey{out: false, label: e.Label})
+	}
+	return prof
+}
+
+// ground builds what both listings share: a group per G1 node over the
+// G2 nodes nodeOK admits, a group per G1 edge over the same-label G2
+// edges whose endpoints are admitted images of its own, the endpoint
+// implications, and one at-most-one set per G2 element (injectivity).
+// Atoms within a group follow G2 insertion order: the solver breaks
+// ties in construction order, so that order fixes which optimum is
+// returned. wf == nil grounds every atom with weight zero.
+func ground(g1, g2 *graph.Graph, nodeOK func(n1, n2 *graph.Node) bool, wf weightFunc) (*encoding, error) {
+	p := asp.NewProblem()
+	enc := &encoding{problem: p}
+	nodes2, edges2 := g2.Nodes(), g2.Edges()
+	weight := func(a, b graph.Properties) int {
+		if wf == nil {
+			return 0
+		}
+		return wf(a, b)
 	}
 
-	nodeAtom := make(map[[2]graph.ElemID]asp.AtomID)
-	usedBy := make(map[graph.ElemID][]asp.AtomID)
+	// nodeAtom maps (G1 node, G2 node), as i1*len(nodes2)+i2, to its atom.
+	index1 := make(map[graph.ElemID]int, g1.NumNodes())
+	index2 := make(map[graph.ElemID]int, len(nodes2))
+	for i, n := range nodes2 {
+		index2[n.ID] = i
+	}
+	nodeAtom := make(map[int]asp.AtomID)
+	// image[a] is atom a's G2 element: a node index, or len(nodes2)
+	// plus an edge index.
+	var image []int32
 
-	for _, n1 := range bg.Nodes() {
+	for i1, n1 := range g1.Nodes() {
+		index1[n1.ID] = i1
 		gi := p.AddGroup("node " + string(n1.ID))
 		enc.groupOf = append(enc.groupOf, n1.ID)
 		any := false
-		for _, n2 := range fg.Nodes() {
-			if n1.Label != n2.Label || !degOK(n1, n2) {
+		for i2, n2 := range nodes2 {
+			if !nodeOK(n1, n2) {
 				continue
 			}
-			a := p.AddAtom(gi, string(n1.ID), string(n2.ID), subgraphCost(n1.Props, n2.Props))
-			nodeAtom[[2]graph.ElemID{n1.ID, n2.ID}] = a
-			usedBy[n2.ID] = append(usedBy[n2.ID], a)
+			a := p.AddAtom(gi, string(n1.ID), string(n2.ID), weight(n1.Props, n2.Props))
+			nodeAtom[i1*len(nodes2)+i2] = a
+			image = append(image, int32(i2))
 			any = true
 		}
 		if !any {
 			return nil, fmt.Errorf("node %s has no candidates", n1.ID)
 		}
 	}
-	for _, e1 := range bg.Edges() {
+	src2 := make([]int, len(edges2))
+	tgt2 := make([]int, len(edges2))
+	for j, e2 := range edges2 {
+		src2[j], tgt2[j] = index2[e2.Src], index2[e2.Tgt]
+	}
+	for _, e1 := range g1.Edges() {
 		gi := p.AddGroup("edge " + string(e1.ID))
 		enc.groupOf = append(enc.groupOf, e1.ID)
+		s1, t1 := index1[e1.Src]*len(nodes2), index1[e1.Tgt]*len(nodes2)
 		any := false
-		for _, e2 := range fg.Edges() {
+		for j, e2 := range edges2 {
 			if e1.Label != e2.Label {
 				continue
 			}
-			sa, okS := nodeAtom[[2]graph.ElemID{e1.Src, e2.Src}]
-			ta, okT := nodeAtom[[2]graph.ElemID{e1.Tgt, e2.Tgt}]
+			sa, okS := nodeAtom[s1+src2[j]]
+			ta, okT := nodeAtom[t1+tgt2[j]]
 			if !okS || !okT {
 				continue
 			}
-			a := p.AddAtom(gi, string(e1.ID), string(e2.ID), subgraphCost(e1.Props, e2.Props))
-			usedBy[e2.ID] = append(usedBy[e2.ID], a)
+			a := p.AddAtom(gi, string(e1.ID), string(e2.ID), weight(e1.Props, e2.Props))
+			image = append(image, int32(len(nodes2)+j))
 			p.AddImplication(a, sa)
 			p.AddImplication(a, ta)
 			any = true
@@ -403,20 +390,28 @@ func encodeSubgraph(bg, fg *graph.Graph) (*encoding, error) {
 			return nil, fmt.Errorf("edge %s has no candidates", e1.ID)
 		}
 	}
-	addInjectivity(p, usedBy)
+	addInjectivity(p, image, len(nodes2)+len(edges2))
 	return enc, nil
 }
 
-// addInjectivity adds pairwise conflicts between atoms sharing a target
-// element (the :- X<>Y, h(X,Z), h(Y,Z) rules).
-func addInjectivity(p *asp.Problem, usedBy map[graph.ElemID][]asp.AtomID) {
-	for _, atoms := range usedBy {
-		for i := 0; i < len(atoms); i++ {
-			for j := i + 1; j < len(atoms); j++ {
-				if p.Atom(atoms[i]).Group != p.Atom(atoms[j]).Group {
-					p.AddConflict(atoms[i], atoms[j])
-				}
-			}
-		}
+// addInjectivity adds one at-most-one set per G2 element over the atoms
+// mapping onto it (the :- X<>Y, h(X,Z), h(Y,Z) rules), in G2 order. The
+// atoms are bucketed by image with a counting sort, ascending by id.
+func addInjectivity(p *asp.Problem, image []int32, elems int) {
+	start := make([]int32, elems+1)
+	for _, y := range image {
+		start[y+1]++
+	}
+	for y := 0; y < elems; y++ {
+		start[y+1] += start[y]
+	}
+	next := append([]int32(nil), start[:elems]...)
+	byImage := make([]asp.AtomID, len(image))
+	for a, y := range image {
+		byImage[next[y]] = asp.AtomID(a)
+		next[y]++
+	}
+	for y := 0; y < elems; y++ {
+		p.AddAtMostOne(byImage[start[y]:start[y+1]])
 	}
 }
