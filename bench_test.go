@@ -124,7 +124,7 @@ func BenchmarkTable4ModuleSizes(b *testing.B) {
 // scale4 benchmark, the ablation workload for the matcher engines.
 func scalePair(b *testing.B) (*graph.Graph, *graph.Graph) {
 	b.Helper()
-	rec, err := capture.OpenContext("camflow", capture.Options{})
+	rec, err := capture.Open("camflow", capture.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func BenchmarkAblationCostMinimization(b *testing.B) {
 func BenchmarkAblationSpadeStorage(b *testing.B) {
 	prog, _ := benchprog.ByName("rename")
 	run := func(b *testing.B, backend string) {
-		rec, err := capture.OpenContext(backend, capture.Options{})
+		rec, err := capture.Open(backend, capture.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -43,14 +43,14 @@ func main() {
 
 func run() error {
 	ctx := context.Background()
-	rec, err := capture.OpenContext("camflow", capture.Options{})
+	rec, err := capture.Open("camflow", capture.Options{})
 	if err != nil {
 		return err
 	}
 	prog := benchprog.PrivilegeEscalation()
 
 	// Step 1-2: benchmark the escalation to learn its graph pattern.
-	res, err := provmark.NewContext(rec).RunContext(ctx, prog)
+	res, err := provmark.New(rec).RunContext(ctx, prog)
 	if err != nil {
 		return err
 	}

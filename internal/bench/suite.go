@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"provmark/internal/benchprog"
 	"provmark/internal/capture"
@@ -20,7 +19,7 @@ import (
 // Suite bundles the registry-resolved recorders under their baseline
 // configurations and runs the paper's experiments against them. Every
 // multi-cell experiment executes through the provmark.Matrix runner,
-// with per-stage timings sourced from the pipeline's observer hooks.
+// with per-stage timings taken from each cell's Result.Times.
 type Suite struct {
 	recorders map[string]capture.Recorder
 	// Workers bounds the matrix worker pool for multi-cell experiments.
@@ -278,8 +277,7 @@ type TimingRow struct {
 var TimingSyscalls = []string{"open", "execve", "fork", "setuid", "rename"}
 
 // RunTiming reproduces Figures 5–7: per-stage processing times for the
-// representative syscalls under one tool. Timings come from the
-// pipeline's stage-observer hooks, not the result structs.
+// representative syscalls under one tool.
 func (s *Suite) RunTiming(ctx context.Context, tool string) ([]TimingRow, error) {
 	progs := make([]benchprog.Program, 0, len(TimingSyscalls))
 	for _, sc := range TimingSyscalls {
@@ -314,47 +312,20 @@ func (s *Suite) RunScalability(ctx context.Context, tool string) ([]TimingRow, e
 }
 
 // observedTiming runs one tool over progs through the matrix runner
-// and assembles per-stage times from StageObserver events, one row per
-// program in input order.
+// and returns each cell's per-stage times, one row per program in
+// input order.
 func (s *Suite) observedTiming(ctx context.Context, tool string, progs []benchprog.Program) ([]TimingRow, error) {
 	rec, err := s.Recorder(tool)
 	if err != nil {
 		return nil, err
 	}
-	var mu sync.Mutex
-	times := map[string]*provmark.StageTimes{}
-	observer := func(ev provmark.StageEvent) {
-		if ev.Err != nil {
-			return
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		t := times[ev.Benchmark]
-		if t == nil {
-			t = &provmark.StageTimes{}
-			times[ev.Benchmark] = t
-		}
-		switch ev.Stage {
-		case provmark.StageRecording:
-			t.Recording = ev.Duration
-		case provmark.StageTransformation:
-			t.Transformation = ev.Duration
-		case provmark.StageGeneralization:
-			t.Generalization = ev.Duration
-		case provmark.StageComparison:
-			t.Comparison = ev.Duration
-		}
-	}
-	if _, err := s.matrix(ctx, []capture.Recorder{rec}, progs, provmark.WithStageObserver(observer)); err != nil {
+	cells, err := s.matrix(ctx, []capture.Recorder{rec}, progs)
+	if err != nil {
 		return nil, err
 	}
-	out := make([]TimingRow, 0, len(progs))
-	for _, prog := range progs {
-		t := times[prog.Name]
-		if t == nil {
-			return nil, fmt.Errorf("no observed timings for %s/%s", tool, prog.Name)
-		}
-		out = append(out, TimingRow{Label: prog.Name, Times: *t})
+	out := make([]TimingRow, len(cells))
+	for i, cell := range cells {
+		out[i] = TimingRow{Label: cell.Benchmark, Times: cell.Result.Times}
 	}
 	return out, nil
 }

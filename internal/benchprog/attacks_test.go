@@ -71,11 +71,11 @@ func loadDetectionRules(t *testing.T) []datalog.Rule {
 // unmitigated.
 func TestSuspiciousRulesFlagAttackChains(t *testing.T) {
 	rules := loadDetectionRules(t)
-	rec, err := capture.OpenContext("camflow", capture.Options{Fast: true})
+	rec, err := capture.Open("camflow", capture.Options{Fast: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := provmark.NewContext(rec)
+	runner := provmark.New(rec)
 
 	cases := []struct {
 		name        string

@@ -93,11 +93,11 @@ func NewDiffer(opts DifferOptions) (*Differ, error) {
 	cls := provmark.NewClassifier()
 	d := &Differ{tools: append([]string(nil), tools...)}
 	for _, tool := range tools {
-		rec, err := capture.OpenContext(tool, capture.Options{Fast: opts.Fast})
+		rec, err := capture.Open(tool, capture.Options{Fast: opts.Fast})
 		if err != nil {
 			return nil, fmt.Errorf("synth: differ: %w", err)
 		}
-		d.runners = append(d.runners, provmark.NewContext(rec,
+		d.runners = append(d.runners, provmark.New(rec,
 			provmark.WithTrials(trials), provmark.WithClassifier(cls)))
 	}
 	return d, nil

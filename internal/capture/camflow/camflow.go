@@ -23,9 +23,11 @@
 package camflow
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strconv"
+	"sync"
 
 	"provmark/internal/benchprog"
 	"provmark/internal/capture"
@@ -71,6 +73,9 @@ type Recorder struct {
 	// bootID is stable for the lifetime of the recorder (one "machine
 	// boot"), like CamFlow's whole-system graph identity.
 	bootID string
+	// mu guards serialized: recorders are shared across concurrent
+	// Record calls (parallel trials, matrix and job cells).
+	mu sync.Mutex
 	// serialized tracks structure already emitted in earlier sessions
 	// when SerializeOnce is set (keyed by a structural signature).
 	serialized map[string]bool
@@ -103,14 +108,11 @@ type Output struct {
 func (Output) Format() string { return "prov-json" }
 
 // Record implements capture.Recorder.
-func (r *Recorder) Record(prog benchprog.Program, v benchprog.Variant, trial int) (capture.Native, error) {
-	k := oskernel.New()
-	tap := &oskernel.TapBuffer{}
-	k.Register(tap)
-	if err := benchprog.Run(k, prog, v); err != nil {
-		return nil, fmt.Errorf("camflow: record %s/%s: %w", prog.Name, v, err)
+func (r *Recorder) Record(ctx context.Context, prog benchprog.Program, v benchprog.Variant, trial int) (capture.Native, error) {
+	tap, err := capture.RunTrial(ctx, "camflow", prog, v)
+	if err != nil {
+		return nil, err
 	}
-	k.Unregister(tap)
 	rng := rand.New(rand.NewSource(int64(trial)*2861 + int64(len(prog.Name))*937 + int64(v)*11))
 	jitter := r.cfg.JitterPeriod > 0 && trial%r.cfg.JitterPeriod == r.cfg.JitterPeriod-1
 	g := r.build(tap.LSMEvents, rng, jitter)
@@ -376,6 +378,8 @@ func (b *builder) handle(ev oskernel.LSMEvent) {
 // incident edges with them.
 func (r *Recorder) dropAlreadySerialized(g *graph.Graph) *graph.Graph {
 	out := g.Clone()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	for _, n := range g.Nodes() {
 		sig := n.Label + "|" + n.Props["prov:type"] + "|" + n.Props["cf:ino"] + "|" +
 			n.Props["cf:pid"] + "|" + n.Props["cf:pathname"] + "|" + n.Props["cf:version"]

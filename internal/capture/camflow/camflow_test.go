@@ -1,6 +1,7 @@
 package camflow
 
 import (
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 func record(t *testing.T, cfg Config, prog benchprog.Program, v benchprog.Variant, trial int) *graph.Graph {
 	t.Helper()
 	rec := New(cfg)
-	n, err := rec.Record(prog, v, trial)
+	n, err := rec.Record(context.Background(), prog, v, trial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func noJitter() Config {
 
 func TestNativeFormatIsProvJSON(t *testing.T) {
 	rec := New(DefaultConfig())
-	n, err := rec.Record(byName(t, "open"), benchprog.Foreground, 0)
+	n, err := rec.Record(context.Background(), byName(t, "open"), benchprog.Foreground, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func TestBootIDStableAcrossTrials(t *testing.T) {
 	prog := byName(t, "open")
 	ids := map[string]bool{}
 	for trial := 0; trial < 2; trial++ {
-		n, err := rec.Record(prog, benchprog.Foreground, trial)
+		n, err := rec.Record(context.Background(), prog, benchprog.Foreground, trial)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package camflow
 
 import (
+	"context"
 	"testing"
 
 	"provmark/internal/benchprog"
@@ -19,7 +20,7 @@ func TestAllBenchmarksRecord(t *testing.T) {
 	progs = append(progs, benchprog.ScaleProgram(3), benchprog.RepeatedReads(3), benchprog.PrivilegeEscalation())
 	for _, prog := range progs {
 		for _, v := range []benchprog.Variant{benchprog.Background, benchprog.Foreground} {
-			n, err := rec.Record(prog, v, 0)
+			n, err := rec.Record(context.Background(), prog, v, 0)
 			if err != nil {
 				t.Errorf("%s/%s: %v", prog.Name, v, err)
 				continue

@@ -1,7 +1,10 @@
 package camflow
 
 import (
+	"context"
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"provmark/internal/benchprog"
@@ -19,7 +22,7 @@ func TestSerializeOnceBreaksRepeatTrials(t *testing.T) {
 	cfg.SerializeOnce = true
 	rec := New(cfg)
 	prog, _ := benchprog.ByName("open")
-	n0, err := rec.Record(prog, benchprog.Foreground, 0)
+	n0, err := rec.Record(context.Background(), prog, benchprog.Foreground, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +30,7 @@ func TestSerializeOnceBreaksRepeatTrials(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n1, err := rec.Record(prog, benchprog.Foreground, 1)
+	n1, err := rec.Record(context.Background(), prog, benchprog.Foreground, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +45,7 @@ func TestSerializeOnceBreaksRepeatTrials(t *testing.T) {
 
 	// The full pipeline fails with the honest error.
 	rec2 := New(cfg)
-	_, err = provmark.NewRunner(rec2, provmark.Config{Trials: 3}).Run(prog)
+	_, err = provmark.New(rec2, provmark.WithTrials(3)).RunContext(context.Background(), prog)
 	if !errors.Is(err, provmark.ErrInconsistentTrials) {
 		t.Errorf("want ErrInconsistentTrials under serialize-once, got %v", err)
 	}
@@ -54,11 +57,60 @@ func TestReserializationWorkaroundRestoresRepeatability(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.JitterPeriod = 0
 	prog, _ := benchprog.ByName("open")
-	res, err := provmark.NewRunner(New(cfg), provmark.Config{Trials: 2}).Run(prog)
+	res, err := provmark.New(New(cfg), provmark.WithTrials(2)).RunContext(context.Background(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Empty {
 		t.Errorf("open empty: %s", res.Reason)
+	}
+}
+
+// TestSerializeOnceConcurrentRecord: one serialize-once recorder shared
+// by concurrent Record calls, as pool workers share a job's recorder
+// across cells. Under -race an unguarded serialized map trips the
+// detector (or the runtime's concurrent map write check). Every node
+// signature is emitted exactly once whatever the interleaving, so the
+// concurrent run emits as many nodes in total as a sequential one.
+func TestSerializeOnceConcurrentRecord(t *testing.T) {
+	const workers, perWorker = 4, 20
+	cfg := DefaultConfig()
+	cfg.SerializeOnce = true
+	prog, _ := benchprog.ByName("open")
+	emitted := func(rec *Recorder, trial int) int {
+		n, err := rec.Record(context.Background(), prog, benchprog.Foreground, trial)
+		if err != nil {
+			t.Error(err)
+			return 0
+		}
+		g, err := rec.Transform(n)
+		if err != nil {
+			t.Error(err)
+			return 0
+		}
+		return len(g.Nodes())
+	}
+
+	seq := New(cfg)
+	want := 0
+	for trial := 0; trial < workers*perWorker; trial++ {
+		want += emitted(seq, trial)
+	}
+
+	shared := New(cfg)
+	var total atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				total.Add(int64(emitted(shared, w*perWorker+i)))
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got := int(total.Load()); got != want {
+		t.Errorf("concurrent records emitted %d nodes, sequential %d", got, want)
 	}
 }

@@ -1,80 +1,12 @@
 package capture
 
-import (
-	"context"
+// The names below are kept only because the frozen e2ebench harness
+// (a separate module that this one may not edit) still compiles
+// against them. They add no behaviour; delete them once the harness
+// moves to Recorder directly.
 
-	"provmark/internal/benchprog"
-	"provmark/internal/graph"
-)
+// RecorderContext is Recorder, kept for the e2ebench harness.
+type RecorderContext = Recorder
 
-// RecorderContext is the context-aware recorder surface the pipeline
-// drives: identical to Recorder except that Record takes a
-// context.Context, so cancellation and deadlines propagate into
-// recording trials — the dominant cost of a pipeline run.
-//
-// Native implementations honor ctx between (or within) the kernel
-// events of a trial; legacy Recorders are adapted with WithContext,
-// which checks ctx once per trial.
-type RecorderContext interface {
-	// Name identifies the tool ("spade", "opus", "camflow").
-	Name() string
-	// DefaultTrials is how many runs per variant the recording stage
-	// performs by default.
-	DefaultTrials() int
-	// FilterGraphs reports whether obviously incomplete trial graphs
-	// should be dropped before similarity grouping.
-	FilterGraphs() bool
-	// Record executes one trial of the given benchmark variant,
-	// aborting with ctx.Err() when the context is done.
-	Record(ctx context.Context, prog benchprog.Program, v benchprog.Variant, trial int) (Native, error)
-	// Transform converts a native recording to the common model.
-	Transform(n Native) (*graph.Graph, error)
-}
-
-// WithContext adapts a legacy Recorder to the context-aware interface.
-// The adapter checks ctx before every trial, so a cancelled matrix run
-// stops between trials; it cannot interrupt a trial already inside the
-// legacy Record call. (A type cannot implement both interfaces — the
-// Record signatures conflict — so adaptation is unconditional.)
-func WithContext(rec Recorder) RecorderContext {
-	return ContextAdapter{Recorder: rec}
-}
-
-// ContextAdapter wraps a legacy Recorder as a RecorderContext. The
-// embedded Recorder's context-free Record method is shadowed by the
-// context-aware one; everything else is promoted unchanged.
-type ContextAdapter struct {
-	Recorder
-}
-
-var _ RecorderContext = ContextAdapter{}
-
-// Record implements RecorderContext: a per-trial cancellation check
-// around the legacy Record.
-func (a ContextAdapter) Record(ctx context.Context, prog benchprog.Program, v benchprog.Variant, trial int) (Native, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return a.Recorder.Record(prog, v, trial)
-}
-
-// Unwrap exposes the wrapped legacy recorder, so optional-interface
-// probes (AsComplete) can see through the adapter.
-func (a ContextAdapter) Unwrap() Recorder { return a.Recorder }
-
-// AsComplete reports whether a recorder (possibly wrapped in one or
-// more adapters exposing Unwrap) implements the Complete optional
-// interface, and returns that view.
-func AsComplete(rec any) (Complete, bool) {
-	for rec != nil {
-		if c, ok := rec.(Complete); ok {
-			return c, true
-		}
-		u, ok := rec.(interface{ Unwrap() Recorder })
-		if !ok {
-			return nil, false
-		}
-		rec = u.Unwrap()
-	}
-	return nil, false
-}
+// WithContext returns rec unchanged, kept for the e2ebench harness.
+func WithContext(rec Recorder) RecorderContext { return rec }

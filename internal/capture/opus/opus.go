@@ -18,6 +18,7 @@
 package opus
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -94,14 +95,11 @@ var fdOnly = map[string]bool{
 }
 
 // Record implements capture.Recorder.
-func (r *Recorder) Record(prog benchprog.Program, v benchprog.Variant, trial int) (capture.Native, error) {
-	k := oskernel.New()
-	tap := &oskernel.TapBuffer{}
-	k.Register(tap)
-	if err := benchprog.Run(k, prog, v); err != nil {
-		return nil, fmt.Errorf("opus: record %s/%s: %w", prog.Name, v, err)
+func (r *Recorder) Record(ctx context.Context, prog benchprog.Program, v benchprog.Variant, trial int) (capture.Native, error) {
+	tap, err := capture.RunTrial(ctx, "opus", prog, v)
+	if err != nil {
+		return nil, err
 	}
-	k.Unregister(tap)
 	rng := rand.New(rand.NewSource(int64(trial)*6151 + int64(len(prog.Name))*13007 + int64(v)*3))
 	db := neo4jsim.New(r.cfg.DB)
 	b := &builder{r: r, db: db, rng: rng,

@@ -1,6 +1,7 @@
 package opus
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -16,7 +17,7 @@ func fastConfig() Config {
 func record(t *testing.T, cfg Config, prog benchprog.Program, v benchprog.Variant, trial int) *graph.Graph {
 	t.Helper()
 	rec := New(cfg)
-	n, err := rec.Record(prog, v, trial)
+	n, err := rec.Record(context.Background(), prog, v, trial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func byName(t *testing.T, name string) benchprog.Program {
 
 func TestNativeFormatIsNeo4j(t *testing.T) {
 	rec := New(fastConfig())
-	n, err := rec.Record(byName(t, "open"), benchprog.Foreground, 0)
+	n, err := rec.Record(context.Background(), byName(t, "open"), benchprog.Foreground, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

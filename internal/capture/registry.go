@@ -111,15 +111,6 @@ func Open(name string, opts Options) (Recorder, error) {
 	return rec, nil
 }
 
-// OpenContext is Open returning the context-aware recorder view.
-func OpenContext(name string, opts Options) (RecorderContext, error) {
-	rec, err := Open(name, opts)
-	if err != nil {
-		return nil, err
-	}
-	return WithContext(rec), nil
-}
-
 // Backends lists the registered backend names, sorted.
 func Backends() []string {
 	registryMu.RLock()

@@ -20,7 +20,7 @@
 package spade
 
 import (
-	"fmt"
+	"context"
 	"math/rand"
 	"strconv"
 
@@ -106,14 +106,11 @@ func (o Output) Format() string {
 
 // Record implements capture.Recorder: run the benchmark in a fresh
 // kernel with an audit tap, then synthesize the DOT output.
-func (r *Recorder) Record(prog benchprog.Program, v benchprog.Variant, trial int) (capture.Native, error) {
-	k := oskernel.New()
-	tap := &oskernel.TapBuffer{}
-	k.Register(tap)
-	if err := benchprog.Run(k, prog, v); err != nil {
-		return nil, fmt.Errorf("spade: record %s/%s: %w", prog.Name, v, err)
+func (r *Recorder) Record(ctx context.Context, prog benchprog.Program, v benchprog.Variant, trial int) (capture.Native, error) {
+	tap, err := capture.RunTrial(ctx, "spade", prog, v)
+	if err != nil {
+		return nil, err
 	}
-	k.Unregister(tap)
 	rng := rand.New(rand.NewSource(int64(trial)*7919 + int64(len(prog.Name))*104729 + int64(v)))
 	var g *graph.Graph
 	if r.cfg.Reporter == ReporterCamFlow {

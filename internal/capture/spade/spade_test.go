@@ -1,6 +1,7 @@
 package spade
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -15,7 +16,7 @@ func record(t *testing.T, cfg Config, benchName string, v benchprog.Variant, tri
 	if !ok {
 		t.Fatalf("unknown benchmark %s", benchName)
 	}
-	n, err := rec.Record(prog, v, trial)
+	n, err := rec.Record(context.Background(), prog, v, trial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func record(t *testing.T, cfg Config, benchName string, v benchprog.Variant, tri
 func recordProg(t *testing.T, cfg Config, prog benchprog.Program, v benchprog.Variant) *graph.Graph {
 	t.Helper()
 	rec := New(cfg)
-	n, err := rec.Record(prog, v, 0)
+	n, err := rec.Record(context.Background(), prog, v, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func recordProg(t *testing.T, cfg Config, prog benchprog.Program, v benchprog.Va
 func TestNativeFormatIsDOT(t *testing.T) {
 	rec := New(DefaultConfig())
 	prog, _ := benchprog.ByName("open")
-	n, err := rec.Record(prog, benchprog.Foreground, 0)
+	n, err := rec.Record(context.Background(), prog, benchprog.Foreground, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

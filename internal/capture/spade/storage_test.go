@@ -1,6 +1,7 @@
 package spade
 
 import (
+	"context"
 	"testing"
 
 	"provmark/internal/benchprog"
@@ -15,7 +16,7 @@ func fastNeo4jConfig() Config {
 func TestNeo4jStorageFormat(t *testing.T) {
 	rec := New(fastNeo4jConfig())
 	prog, _ := benchprog.ByName("open")
-	n, err := rec.Record(prog, benchprog.Foreground, 0)
+	n, err := rec.Record(context.Background(), prog, benchprog.Foreground, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestBackendsAgreeOnStructure(t *testing.T) {
 		prog, _ := benchprog.ByName(benchName)
 		dotRec := New(DefaultConfig())
 		dbRec := New(fastNeo4jConfig())
-		nDot, err := dotRec.Record(prog, benchprog.Foreground, 0)
+		nDot, err := dotRec.Record(context.Background(), prog, benchprog.Foreground, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +44,7 @@ func TestBackendsAgreeOnStructure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nDB, err := dbRec.Record(prog, benchprog.Foreground, 0)
+		nDB, err := dbRec.Record(context.Background(), prog, benchprog.Foreground, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

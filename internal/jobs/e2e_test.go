@@ -52,18 +52,18 @@ func gateChans() (started, release chan struct{}) {
 
 type countingRecorder struct{ capture.Recorder }
 
-func (c countingRecorder) Record(prog benchprog.Program, v benchprog.Variant, trial int) (capture.Native, error) {
+func (c countingRecorder) Record(ctx context.Context, prog benchprog.Program, v benchprog.Variant, trial int) (capture.Native, error) {
 	recordCalls.Add(1)
-	return c.Recorder.Record(prog, v, trial)
+	return c.Recorder.Record(ctx, prog, v, trial)
 }
 
 type gatedRecorder struct{ capture.Recorder }
 
-func (g gatedRecorder) Record(prog benchprog.Program, v benchprog.Variant, trial int) (capture.Native, error) {
+func (g gatedRecorder) Record(ctx context.Context, prog benchprog.Program, v benchprog.Variant, trial int) (capture.Native, error) {
 	started, release := gateChans()
 	started <- struct{}{}
 	<-release
-	return g.Recorder.Record(prog, v, trial)
+	return g.Recorder.Record(ctx, prog, v, trial)
 }
 
 func init() {
@@ -344,7 +344,7 @@ func TestStreamDisconnectCancelsJob(t *testing.T) {
 		t.Fatal("stream disconnect did not cancel the job")
 	}
 
-	// Only then unblock the recorder so the legacy Record calls can
+	// Only then unblock the recorder so the in-flight Record calls can
 	// return; the pipeline observes the canceled context and aborts.
 	close(gateRelease)
 

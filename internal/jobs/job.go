@@ -13,7 +13,7 @@ import (
 // cell is one (tool, benchmark) unit of a job's grid.
 type cell struct {
 	tool string
-	rec  capture.RecorderContext
+	rec  capture.Recorder
 	prog benchprog.Program
 	key  string
 }
@@ -114,7 +114,7 @@ func (j *Job) runCell(i int) {
 		j.report(out)
 		return
 	}
-	res, err := provmark.NewContext(c.rec, j.pipeline...).RunContext(j.ctx, c.prog)
+	res, err := provmark.New(c.rec, j.pipeline...).RunContext(j.ctx, c.prog)
 	if err != nil {
 		out.Err = err.Error()
 		j.report(out)

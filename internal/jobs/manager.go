@@ -232,9 +232,9 @@ func (m *Manager) Submit(spec *wire.JobSpec) (*Job, error) {
 	if spec.Capture != nil {
 		copts = capture.Options{Fast: spec.Capture.Fast, Params: spec.Capture.Params}
 	}
-	recs := make([]capture.RecorderContext, len(spec.Tools))
+	recs := make([]capture.Recorder, len(spec.Tools))
 	for i, tool := range spec.Tools {
-		rec, err := capture.OpenContext(tool, copts)
+		rec, err := capture.Open(tool, copts)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
 		}

@@ -1,6 +1,7 @@
 package match_test
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -74,7 +75,7 @@ func trialPair(t testing.TB, rec capture.Recorder, prog benchprog.Program, v ben
 	filter = filter && rec.FilterGraphs()
 	var trials []*graph.Graph
 	for i := 0; i < rec.DefaultTrials(); i++ {
-		n, err := rec.Record(prog, v, i)
+		n, err := rec.Record(context.Background(), prog, v, i)
 		if err != nil {
 			t.Fatalf("%s/%s: record: %v", rec.Name(), prog.Name, err)
 		}

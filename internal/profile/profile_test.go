@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -60,7 +61,7 @@ scan_rounds = 1
 		t.Fatal(err)
 	}
 	prog, _ := benchprog.ByName("open")
-	n, err := rec.Record(prog, benchprog.Foreground, 0)
+	n, err := rec.Record(context.Background(), prog, benchprog.Foreground, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ record_denied = true
 	}
 	// record_denied makes the failed rename visible under CamFlow.
 	prog := benchprog.FailedRename()
-	nFG, err := rec.Record(prog, benchprog.Foreground, 0)
+	nFG, err := rec.Record(context.Background(), prog, benchprog.Foreground, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ record_denied = true
 	if err != nil {
 		t.Fatal(err)
 	}
-	nBG, err := rec.Record(prog, benchprog.Background, 0)
+	nBG, err := rec.Record(context.Background(), prog, benchprog.Background, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

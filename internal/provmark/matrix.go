@@ -13,8 +13,11 @@ import (
 
 // Matrix describes a (tools × benchmarks) grid of pipeline runs — the
 // unit of work behind the paper's Table 2/3 and timing experiments,
-// and the execution path the CLIs and bench suite share. Cells fan out
-// over a bounded worker pool and results stream back as they complete:
+// and the execution path the CLIs and bench suite share. Its columns
+// are the Tools opened from the registry followed by the Recorders
+// given as instances; each column's recorder is shared by all of its
+// cells. Cells fan out over a bounded worker pool and results stream
+// back as they complete:
 //
 //	m := provmark.Matrix{
 //		Tools:      []string{"spade", "opus", "camflow"},
@@ -31,12 +34,8 @@ type Matrix struct {
 	Capture capture.Options
 	// Recorders lists explicit recorder instances, appended after the
 	// Tools columns — for recorders with configurations the registry
-	// vocabulary cannot express.
+	// vocabulary cannot express, or decorators around a backend.
 	Recorders []capture.Recorder
-	// ContextRecorders lists natively context-aware recorders, appended
-	// after Recorders. Unlike adapted legacy recorders, these can abort
-	// a trial already in flight when the run's context is cancelled.
-	ContextRecorders []capture.RecorderContext
 	// Benchmarks are the grid rows.
 	Benchmarks []benchprog.Program
 	// Scenarios are additional grid rows given as declarative scenario
@@ -69,19 +68,16 @@ type MatrixResult struct {
 
 // cells resolves the grid into its recorder columns and benchmark
 // rows, compiling any declarative scenarios into programs.
-func (m Matrix) cells() ([]capture.RecorderContext, []benchprog.Program, error) {
-	recs := make([]capture.RecorderContext, 0, len(m.Tools)+len(m.Recorders)+len(m.ContextRecorders))
+func (m Matrix) cells() ([]capture.Recorder, []benchprog.Program, error) {
+	recs := make([]capture.Recorder, 0, len(m.Tools)+len(m.Recorders))
 	for _, name := range m.Tools {
-		rec, err := capture.OpenContext(name, m.Capture)
+		rec, err := capture.Open(name, m.Capture)
 		if err != nil {
 			return nil, nil, fmt.Errorf("provmark: matrix: %w", err)
 		}
 		recs = append(recs, rec)
 	}
-	for _, rec := range m.Recorders {
-		recs = append(recs, capture.WithContext(rec))
-	}
-	recs = append(recs, m.ContextRecorders...)
+	recs = append(recs, m.Recorders...)
 	if len(recs) == 0 {
 		return nil, nil, fmt.Errorf("provmark: matrix: no tools")
 	}
@@ -135,7 +131,7 @@ func (m Matrix) Stream(ctx context.Context) (<-chan MatrixResult, error) {
 			for i := range next {
 				rec := recs[i/len(progs)]
 				prog := progs[i%len(progs)]
-				res, err := NewContext(rec, pipeline...).RunContext(ctx, prog)
+				res, err := New(rec, pipeline...).RunContext(ctx, prog)
 				cell := MatrixResult{
 					Index:     i,
 					Tool:      rec.Name(),

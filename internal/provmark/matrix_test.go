@@ -99,10 +99,9 @@ func TestMatrixRegistryTools(t *testing.T) {
 func TestMatrixStreamYieldsIncrementally(t *testing.T) {
 	gated := &gatedRecorder{gate: make(chan struct{})}
 	m := provmark.Matrix{
-		Recorders:        []capture.Recorder{fastRecorders()["spade"]},
-		ContextRecorders: []capture.RecorderContext{gated},
-		Benchmarks:       testPrograms(t, "creat"),
-		Workers:          2,
+		Recorders:  []capture.Recorder{fastRecorders()["spade"], gated},
+		Benchmarks: testPrograms(t, "creat"),
+		Workers:    2,
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -156,10 +155,9 @@ func (gatedNative) Format() string { return "gated" }
 func TestMatrixCancellationAbortsPromptly(t *testing.T) {
 	rec := &gatedRecorder{gate: make(chan struct{})}
 	m := provmark.Matrix{
-		Recorders:        []capture.Recorder{fastRecorders()["spade"]},
-		ContextRecorders: []capture.RecorderContext{rec},
-		Benchmarks:       testPrograms(t, "creat", "open", "rename", "write"),
-		Workers:          2,
+		Recorders:  []capture.Recorder{fastRecorders()["spade"], rec},
+		Benchmarks: testPrograms(t, "creat", "open", "rename", "write"),
+		Workers:    2,
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -185,12 +183,12 @@ func TestMatrixCancellationAbortsPromptly(t *testing.T) {
 	}
 }
 
-// TestRunContextCancellationMidRecording: with a natively context-aware
-// recorder, cancellation interrupts a trial that is already blocked
+// TestRunContextCancellationMidRecording: with a recorder that selects
+// on its context, cancellation interrupts a trial that is already blocked
 // inside Record, and the pipeline returns context.Canceled.
 func TestRunContextCancellationMidRecording(t *testing.T) {
 	rec := &gatedRecorder{gate: make(chan struct{})}
-	runner := provmark.NewContext(rec, provmark.WithTrials(3), provmark.WithParallelism(2))
+	runner := provmark.New(rec, provmark.WithTrials(3), provmark.WithParallelism(2))
 	ctx, cancel := context.WithCancel(context.Background())
 
 	var wg sync.WaitGroup

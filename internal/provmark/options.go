@@ -65,12 +65,12 @@ type StageObserver func(StageEvent)
 
 // Option configures a pipeline Runner (and, through Matrix.Pipeline,
 // every cell of a matrix run).
-type Option func(*Config)
+type Option func(*config)
 
 // WithTrials sets the number of recording trials per variant; n <= 0
 // selects the recorder's default.
 func WithTrials(n int) Option {
-	return func(c *Config) { c.Trials = n }
+	return func(c *config) { c.Trials = n }
 }
 
 // WithParallelism bounds the number of concurrent recording workers
@@ -78,25 +78,25 @@ func WithTrials(n int) Option {
 // runs in its own simulated kernel, so trials are independent;
 // recorders must be safe for concurrent Record calls.
 func WithParallelism(k int) Option {
-	return func(c *Config) { c.Parallelism = k }
+	return func(c *config) { c.Parallelism = k }
 }
 
 // WithFilterGraphs overrides the recorder's default graph-filtering
 // behaviour (the config.ini filtergraphs flag).
 func WithFilterGraphs(filter bool) Option {
-	return func(c *Config) { c.FilterGraphs = &filter }
+	return func(c *config) { c.FilterGraphs = &filter }
 }
 
 // WithKeepNative retains the foreground trial-1 native artifact in the
 // result, for callers that want to show raw tool output.
 func WithKeepNative(keep bool) Option {
-	return func(c *Config) { c.KeepNative = keep }
+	return func(c *config) { c.KeepNative = keep }
 }
 
 // WithPairExtremes chooses the trial-pair size preference per variant
 // (Section 3.4); zero values mean Smallest.
 func WithPairExtremes(bg, fg Extreme) Option {
-	return func(c *Config) { c.BGPair, c.FGPair = bg, fg }
+	return func(c *config) { c.BGPair, c.FGPair = bg, fg }
 }
 
 // WithClassifier installs a shared similarity classification engine.
@@ -105,7 +105,7 @@ func WithPairExtremes(bg, fg Extreme) Option {
 // across all cells of a run. A nil engine is ignored (each runner then
 // gets a private one).
 func WithClassifier(c *Classifier) Option {
-	return func(cfg *Config) {
+	return func(cfg *config) {
 		if c != nil {
 			cfg.Classifier = c
 		}
@@ -115,7 +115,7 @@ func WithClassifier(c *Classifier) Option {
 // WithStageObserver installs a per-stage completion hook; successive
 // calls chain, all installed observers run.
 func WithStageObserver(fn StageObserver) Option {
-	return func(c *Config) {
+	return func(c *config) {
 		if fn == nil {
 			return
 		}

@@ -11,32 +11,6 @@ import (
 	"provmark/internal/provmark"
 )
 
-// TestOptionsMatchLegacyConfig: a runner built from functional options
-// produces the same result as the legacy Config struct path.
-func TestOptionsMatchLegacyConfig(t *testing.T) {
-	prog, _ := benchprog.ByName("rename")
-	legacy, err := provmark.NewRunner(fastRecorders()["spade"], provmark.Config{Trials: 3}).Run(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt, err := provmark.New(fastRecorders()["spade"],
-		provmark.WithTrials(3),
-		provmark.WithParallelism(2),
-	).RunContext(context.Background(), prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Empty != opt.Empty || legacy.Trials != opt.Trials {
-		t.Fatalf("legacy=%+v options=%+v", legacy, opt)
-	}
-	if !legacy.Empty {
-		if _, ok := match.Similar(legacy.Target, opt.Target); !ok {
-			t.Errorf("targets differ: %s vs %s",
-				graph.Summarize(legacy.Target), graph.Summarize(opt.Target))
-		}
-	}
-}
-
 // TestStageObserverSeesAllStages: one pipeline run emits exactly one
 // event per stage, in order, with the run's identity on each event.
 func TestStageObserverSeesAllStages(t *testing.T) {

@@ -33,11 +33,9 @@ const (
 	Largest
 )
 
-// Config is the pipeline's internal configuration. Public callers do
-// not build it directly: they pass functional options (WithTrials,
-// WithParallelism, …) to New; the struct remains exported only for
-// the legacy NewRunner constructor kept for internal tests.
-type Config struct {
+// config is the pipeline's configuration, built by the functional
+// options (WithTrials, WithParallelism, …) passed to New.
+type config struct {
 	// Trials per variant; zero selects the recorder's default.
 	Trials int
 	// FilterGraphs overrides the recorder's default graph-filtering
@@ -46,16 +44,10 @@ type Config struct {
 	// KeepNative retains the native artifacts in the result (used by
 	// examples that want to show raw tool output).
 	KeepNative bool
-	// Parallel records trials concurrently. Each trial runs in its own
-	// simulated kernel, so trials are independent; recorders must be
-	// safe for concurrent Record calls (the built-in ones are, except
-	// CamFlow under SerializeOnce, which mutates cross-session state).
-	// Legacy flag: when set with Parallelism zero, every trial gets its
-	// own goroutine.
-	Parallel bool
 	// Parallelism bounds the number of concurrent recording workers;
-	// values <= 1 record sequentially (unless the legacy Parallel flag
-	// asks for one goroutine per trial).
+	// values <= 1 record sequentially. Each trial runs in its own
+	// simulated kernel, so trials are independent; recorders must be
+	// safe for concurrent Record calls.
 	Parallelism int
 	// Observer, when non-nil, receives a StageEvent as each pipeline
 	// stage completes.
@@ -126,7 +118,7 @@ type Result struct {
 	Cost  int
 	Times StageTimes
 	// FGNative holds the foreground trial-1 native artifact when
-	// Config.KeepNative is set.
+	// WithKeepNative is set.
 	FGNative capture.Native
 }
 
@@ -136,8 +128,8 @@ var ErrInconsistentTrials = errors.New("provmark: no two consistent trial graphs
 
 // Runner binds a recorder to a pipeline configuration.
 type Runner struct {
-	rec capture.RecorderContext
-	cfg Config
+	rec capture.Recorder
+	cfg config
 	cls *Classifier
 }
 
@@ -147,24 +139,16 @@ type Runner struct {
 //	runner := provmark.New(rec, provmark.WithTrials(4), provmark.WithParallelism(2))
 //	res, err := runner.RunContext(ctx, prog)
 func New(rec capture.Recorder, opts ...Option) *Runner {
-	return NewContext(capture.WithContext(rec), opts...)
-}
-
-// NewContext is New for a natively context-aware recorder.
-func NewContext(rec capture.RecorderContext, opts ...Option) *Runner {
-	cfg := Config{}
+	cfg := config{}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
 	return &Runner{rec: rec, cfg: cfg, cls: orNewClassifier(cfg.Classifier)}
 }
 
-// NewRunner builds a pipeline runner from a raw Config. Legacy
-// constructor kept for internal tests; new call sites use New with
-// functional options.
-func NewRunner(rec capture.Recorder, cfg Config) *Runner {
-	return &Runner{rec: capture.WithContext(rec), cfg: cfg, cls: orNewClassifier(cfg.Classifier)}
-}
+// NewContext is New, kept only because the frozen e2ebench harness
+// still calls it.
+func NewContext(rec capture.RecorderContext, opts ...Option) *Runner { return New(rec, opts...) }
 
 func orNewClassifier(c *Classifier) *Classifier {
 	if c == nil {
@@ -187,13 +171,6 @@ func (r *Runner) observe(prog benchprog.Program, s Stage, d time.Duration, err e
 	})
 }
 
-// Run benchmarks one program: the full Figure 3 pipeline. It is the
-// context-free compatibility wrapper over RunContext.
-func (r *Runner) Run(prog benchprog.Program) (*Result, error) {
-	//provmark:allow ctx-background -- compatibility wrapper; callers that have a context use RunContext
-	return r.RunContext(context.Background(), prog)
-}
-
 // RunScenario benchmarks a declarative scenario: the scenario is
 // validated, compiled to a program, and run through the full pipeline.
 // Registered and inline scenarios take the same path as the built-in
@@ -207,8 +184,9 @@ func (r *Runner) RunScenario(ctx context.Context, s benchprog.Scenario) (*Result
 }
 
 // RunContext benchmarks one program, honoring ctx: cancellation or
-// deadline expiry aborts the run between trials (and within a trial
-// for context-aware recorders) with ctx's error.
+// deadline expiry aborts the run with ctx's error. The built-in
+// recorders stop between trials; a recorder that selects on ctx can
+// also stop a trial in flight.
 func (r *Runner) RunContext(ctx context.Context, prog benchprog.Program) (*Result, error) {
 	res := &Result{Benchmark: prog.Name, Tool: r.rec.Name()}
 	trials := r.cfg.Trials
@@ -282,24 +260,9 @@ func (r *Runner) generalizeAndCompare(prog benchprog.Program, res *Result, bgGra
 	return res, nil
 }
 
-// workers resolves the recording concurrency for a trial count.
-func (r *Runner) workers(trials int) int {
-	w := r.cfg.Parallelism
-	if w <= 0 && r.cfg.Parallel {
-		w = trials // legacy flag: one goroutine per trial
-	}
-	if w < 1 {
-		w = 1
-	}
-	if w > trials {
-		w = trials
-	}
-	return w
-}
-
 func (r *Runner) record(ctx context.Context, prog benchprog.Program, v benchprog.Variant, trials int) ([]capture.Native, error) {
 	out := make([]capture.Native, trials)
-	if workers := r.workers(trials); workers > 1 {
+	if workers := min(r.cfg.Parallelism, trials); workers > 1 {
 		return r.recordParallel(ctx, prog, v, out, workers)
 	}
 	for t := 0; t < trials; t++ {
@@ -313,8 +276,8 @@ func (r *Runner) record(ctx context.Context, prog benchprog.Program, v benchprog
 }
 
 // recordParallel fans trials out over a bounded worker pool. A
-// cancelled context stops workers from claiming further trials; the
-// context-aware recorder aborts the trials already claimed.
+// cancelled context stops workers from claiming further trials, and
+// the recorder sees the same context for the trials already claimed.
 func (r *Runner) recordParallel(ctx context.Context, prog benchprog.Program, v benchprog.Variant, out []capture.Native, workers int) ([]capture.Native, error) {
 	trials := len(out)
 	errs := make([]error, trials)

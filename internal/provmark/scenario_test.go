@@ -44,12 +44,12 @@ func TestRunnerRunScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := runner.Run(prog)
+	direct, err := runner.RunContext(context.Background(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if graph.ShapeFingerprint(res.Target) != graph.ShapeFingerprint(direct.Target) {
-		t.Error("RunScenario and Run(Compile()) disagree")
+		t.Error("RunScenario and RunContext(Compile()) disagree")
 	}
 	if _, err := runner.RunScenario(context.Background(), benchprog.Scenario{Name: "broken"}); err == nil {
 		t.Error("invalid scenario ran")

@@ -1,6 +1,7 @@
 package provmark_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -80,7 +81,7 @@ func TestStageTimesAccountClassification(t *testing.T) {
 	res, err := provmark.New(rec,
 		provmark.WithTrials(2),
 		provmark.WithStageObserver(func(ev provmark.StageEvent) { observed = append(observed, ev) }),
-	).Run(prog)
+	).RunContext(context.Background(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
