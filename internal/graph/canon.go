@@ -79,12 +79,12 @@ func renderColors(g *Graph, colors []uint64) map[ElemID]string {
 	return out
 }
 
-// WLColors exposes the refinement used by ShapeFingerprint so that
-// matching engines can prune candidate pairs: nodes mapped to each other
-// by any label-preserving isomorphism necessarily share a WL colour. At
-// the canonical depth the colours come from the graph's memoized cache
-// (rendered to strings on first request); the returned map is a copy
-// the caller may retain.
+// WLColors exposes the refinement used by ShapeFingerprint as strings:
+// nodes mapped to each other by any label-preserving isomorphism
+// necessarily share a WL colour (matching engines read the integer
+// form through AppendCanonColors). At the canonical depth the colours
+// come from the graph's memoized cache (rendered to strings on first
+// request); the returned map is a copy the caller may retain.
 func WLColors(g *Graph, rounds int) map[ElemID]string {
 	if rounds != CanonRounds {
 		ws := wlGet()
@@ -105,6 +105,18 @@ func WLColors(g *Graph, rounds int) map[ElemID]string {
 		out[k] = v
 	}
 	return out
+}
+
+// AppendCanonColors appends the memoized canonical-depth WL colours to
+// dst, indexed by node insertion order (the order of Nodes), and
+// returns the extended slice. It is WLColors without the string
+// rendering: matching engines that only compare colours for equality
+// read the integer slab directly.
+func (g *Graph) AppendCanonColors(dst []uint64) []uint64 {
+	g.canon.mu.Lock()
+	defer g.canon.mu.Unlock()
+	g.ensureCanonLocked()
+	return append(dst, g.canon.colors64...)
 }
 
 // LabelCounts returns the multiset of node and edge labels, a cheap

@@ -1,9 +1,11 @@
 // Package match implements the graph-matching operations of ProvMark's
-// generalization and comparison stages by grounding them into the asp
-// package's program class:
+// generalization and comparison stages. The optimizing problems are
+// grounded into the asp package's program class; the yes/no
+// similarity decision is not:
 //
 //   - Similar: property-graph similarity (Listing 3 without properties) —
-//     an exact isomorphism on structure and labels;
+//     an exact isomorphism on structure and labels, decided by a
+//     colour-guided backtracking matcher;
 //   - GeneralizePair: similarity plus #minimize over property mismatches;
 //     the result keeps only properties whose values agree across the
 //     matched pair (volatile data such as timestamps is discarded);
@@ -19,12 +21,16 @@
 // fingerprint check is a necessary-condition filter only: unequal
 // fingerprints prove non-similarity, but equal fingerprints never
 // certify similarity — a confirming engine always has the final word.
-// The confirmer is the forced-mapping verifier when the WL refinement
-// is discrete on both graphs (the colour-respecting candidate mapping
-// is unique, so an O(V+E) verification decides the pair without any
-// search), and otherwise the ASP solver. SimilarASP and SimilarDirect
-// are confirmation engines that bypass the fingerprint filter entirely;
-// the differential test harness asserts all decision paths agree.
+// Decisions go to the colour-guided matcher (SimilarDirect's engine):
+// a complete backtracking search whose candidates are restricted by
+// the memoized WL colours and by the adjacency of already-mapped
+// neighbours, so a "not similar" verdict is exact and a discrete
+// colouring is decided without backtracking. The ASP solver grounds
+// only the two optimizing listings (GeneralizePair, SubgraphEmbed) and
+// isomorphism enumeration. SimilarASP grounds Listing 3 for the same
+// yes/no question and stays as the paper-faithful independent oracle;
+// the differential harness and FuzzSimilarAgreesWithASP assert that
+// every decision path agrees with it.
 package match
 
 import (
@@ -65,8 +71,7 @@ func (enc *encoding) decode(sol *asp.Solution) Mapping {
 // properties ignored) and returns a witnessing isomorphism. It is the
 // production decision path: cheap invariants first (counts, label
 // multisets, memoized shape fingerprints — necessary conditions only),
-// then the forced-mapping verifier when the WL colouring is discrete,
-// and the ASP solver only when symmetry leaves a genuine choice.
+// then the colour-guided matcher. It never calls the ASP solver.
 func Similar(g1, g2 *graph.Graph) (Mapping, bool) {
 	if !sameShape(g1, g2) {
 		return nil, false
@@ -74,10 +79,7 @@ func Similar(g1, g2 *graph.Graph) (Mapping, bool) {
 	if g1.Fingerprint() != g2.Fingerprint() {
 		return nil, false
 	}
-	if m, ok, decided := similarForced(g1, g2); decided {
-		return m, ok
-	}
-	return solveIso(g1, g2)
+	return confirm(g1, g2)
 }
 
 // SimilarASP decides similarity purely through the ASP solver (after
@@ -99,7 +101,7 @@ func sameShape(g1, g2 *graph.Graph) bool {
 		graph.SameLabelCounts(g1, g2)
 }
 
-// solveIso grounds Listing 3 and runs the ASP solver.
+// solveIso grounds Listing 3 and runs the ASP solver for SimilarASP.
 func solveIso(g1, g2 *graph.Graph) (Mapping, bool) {
 	enc, err := encodeIso(g1, g2, nil)
 	if err != nil {
@@ -262,10 +264,10 @@ func keepCommonProps(out *graph.Graph, id graph.ElemID, mine, theirs graph.Prope
 // WL-colour pruning is sound here: any label-preserving isomorphism maps
 // nodes to nodes of the same refined colour.
 func encodeIso(g1, g2 *graph.Graph, wf weightFunc) (*encoding, error) {
-	c1 := graph.WLColors(g1, graph.CanonRounds)
-	c2 := graph.WLColors(g2, graph.CanonRounds)
-	return ground(g1, g2, func(n1, n2 *graph.Node) bool {
-		return n1.Label == n2.Label && c1[n1.ID] == c2[n2.ID]
+	c1 := g1.AppendCanonColors(nil)
+	c2 := g2.AppendCanonColors(nil)
+	return ground(g1, g2, func(i1, i2 int, n1, n2 *graph.Node) bool {
+		return n1.Label == n2.Label && c1[i1] == c2[i2]
 	}, wf)
 }
 
@@ -276,7 +278,7 @@ func encodeIso(g1, g2 *graph.Graph, wf weightFunc) (*encoding, error) {
 // same direction, at its foreground image.
 func encodeSubgraph(bg, fg *graph.Graph) (*encoding, error) {
 	need, have := degreeProfiles(bg), degreeProfiles(fg)
-	return ground(bg, fg, func(x, y *graph.Node) bool {
+	return ground(bg, fg, func(_, _ int, x, y *graph.Node) bool {
 		if x.Label != y.Label {
 			return false
 		}
@@ -315,13 +317,14 @@ func degreeProfiles(g *graph.Graph) map[graph.ElemID]map[degreeKey]int {
 }
 
 // ground builds what both listings share: a group per G1 node over the
-// G2 nodes nodeOK admits, a group per G1 edge over the same-label G2
-// edges whose endpoints are admitted images of its own, the endpoint
-// implications, and one at-most-one set per G2 element (injectivity).
+// G2 nodes nodeOK admits (passed both nodes and their insertion
+// indices), a group per G1 edge over the same-label G2 edges whose
+// endpoints are admitted images of its own, the endpoint implications,
+// and one at-most-one set per G2 element (injectivity).
 // Atoms within a group follow G2 insertion order: the solver breaks
 // ties in construction order, so that order fixes which optimum is
 // returned. wf == nil grounds every atom with weight zero.
-func ground(g1, g2 *graph.Graph, nodeOK func(n1, n2 *graph.Node) bool, wf weightFunc) (*encoding, error) {
+func ground(g1, g2 *graph.Graph, nodeOK func(i1, i2 int, n1, n2 *graph.Node) bool, wf weightFunc) (*encoding, error) {
 	p := asp.NewProblem()
 	enc := &encoding{problem: p}
 	nodes2, edges2 := g2.Nodes(), g2.Edges()
@@ -349,7 +352,7 @@ func ground(g1, g2 *graph.Graph, nodeOK func(n1, n2 *graph.Node) bool, wf weight
 		enc.groupOf = append(enc.groupOf, n1.ID)
 		any := false
 		for i2, n2 := range nodes2 {
-			if !nodeOK(n1, n2) {
+			if !nodeOK(i1, i2, n1, n2) {
 				continue
 			}
 			a := p.AddAtom(gi, string(n1.ID), string(n2.ID), weight(n1.Props, n2.Props))

@@ -283,13 +283,13 @@ func randomDAGPair(seed int64) (*graph.Graph, *graph.Graph) {
 	return g, h
 }
 
-// TestEnginesAgreeOnIsomorphicPairs: the ASP-encoded engine and the
-// direct VF2-style engine must both accept renamed copies and produce
+// TestEnginesAgreeOnIsomorphicPairs: the ASP-encoded oracle and the
+// colour-guided matcher must both accept renamed copies and produce
 // valid mappings.
 func TestEnginesAgreeOnIsomorphicPairs(t *testing.T) {
 	f := func(seed int64) bool {
 		g, h := randomDAGPair(seed)
-		m1, ok1 := Similar(g, h)
+		m1, ok1 := SimilarASP(g, h)
 		m2, ok2 := SimilarDirect(g, h)
 		if !ok1 || !ok2 {
 			return false
@@ -308,7 +308,7 @@ func TestEnginesAgreeOnPerturbedPairs(t *testing.T) {
 		g, h := randomDAGPair(seed)
 		// Flip one label to a value not in the alphabet.
 		h.Nodes()[0].Label = "FLIPPED"
-		_, ok1 := Similar(g, h)
+		_, ok1 := SimilarASP(g, h)
 		_, ok2 := SimilarDirect(g, h)
 		return !ok1 && !ok2
 	}
@@ -347,5 +347,175 @@ func TestSubtractIdentityLeavesNothing(t *testing.T) {
 	target := Subtract(g, m)
 	if target.Size() != 0 {
 		t.Errorf("self-subtraction left %d elements", target.Size())
+	}
+}
+
+// arcGraph builds a graph of n uniformly labelled nodes and one
+// uniformly labelled edge per arc, inserting nodes and edges in the
+// order perm gives (nil keeps them in order).
+func arcGraph(t *testing.T, n int, arcs [][2]int, perm func(int) []int) *graph.Graph {
+	t.Helper()
+	order := func(k int) []int {
+		if perm != nil {
+			return perm(k)
+		}
+		out := make([]int, k)
+		for i := range out {
+			out[i] = i
+		}
+		return out
+	}
+	g := graph.New()
+	ids := make([]graph.ElemID, n)
+	for _, i := range order(n) {
+		ids[i] = graph.ElemID("v" + strconv.Itoa(i))
+		if err := g.InsertNode(ids[i], "N", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, j := range order(len(arcs)) {
+		a := arcs[j]
+		if err := g.InsertEdge(graph.ElemID("a"+strconv.Itoa(j)), ids[a[0]], ids[a[1]], "E", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return g
+}
+
+// cycle returns the arcs of a directed cycle through first..first+n-1.
+func cycle(first, n int) [][2]int {
+	arcs := make([][2]int, n)
+	for i := range arcs {
+		arcs[i] = [2]int{first + i, first + (i+1)%n}
+	}
+	return arcs
+}
+
+// undirected adds the reverse of every arc.
+func undirected(arcs [][2]int) [][2]int {
+	out := append([][2]int(nil), arcs...)
+	for _, a := range arcs {
+		out = append(out, [2]int{a[1], a[0]})
+	}
+	return out
+}
+
+// doubled repeats every arc as a parallel edge.
+func doubled(arcs [][2]int) [][2]int { return append(append([][2]int(nil), arcs...), arcs...) }
+
+// shifted renumbers arcs by adding by to both endpoints.
+func shifted(arcs [][2]int, by int) [][2]int {
+	out := make([][2]int, len(arcs))
+	for i, a := range arcs {
+		out[i] = [2]int{a[0] + by, a[1] + by}
+	}
+	return out
+}
+
+func joined(parts ...[][2]int) [][2]int {
+	var out [][2]int
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out
+}
+
+// wlBlind lists non-isomorphic pairs with equal 3-round WL colours:
+// node count and the two arc lists.
+var wlBlind = []struct {
+	name   string
+	n      int
+	a1, a2 [][2]int
+}{
+	{"C6 vs 2xC3", 6, undirected(cycle(0, 6)), undirected(joined(cycle(0, 3), cycle(3, 3)))},
+	{"directed C6 vs 2 directed C3", 6, cycle(0, 6), joined(cycle(0, 3), cycle(3, 3))},
+	// The same arcs, a 4-cycle and two 2-cycles; only which of them
+	// carry a parallel same-label edge differs.
+	{"parallel-edge multiplicity", 8,
+		joined(doubled(cycle(0, 4)), cycle(4, 2), cycle(6, 2)),
+		joined(cycle(0, 4), doubled(cycle(4, 2)), doubled(cycle(6, 2)))},
+	{"self-loops vs 2-cycle", 2, [][2]int{{0, 0}, {1, 1}}, cycle(0, 2)},
+}
+
+// TestWLBlindPairs: WL refinement cannot separate these pairs, so the
+// fingerprint filter passes them to the matcher, which must reject
+// them exactly like the ASP oracle; permuted copies of every shape
+// must be accepted with valid witnesses.
+func TestWLBlindPairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	engines := []struct {
+		name    string
+		similar func(g1, g2 *graph.Graph) (Mapping, bool)
+	}{{"Similar", Similar}, {"SimilarDirect", SimilarDirect}, {"SimilarASP", SimilarASP}}
+	for _, tc := range wlBlind {
+		g1 := arcGraph(t, tc.n, tc.a1, nil)
+		g2 := arcGraph(t, tc.n, tc.a2, nil)
+		c1, c2 := graph.WLColors(g1, graph.CanonRounds), graph.WLColors(g2, graph.CanonRounds)
+		if g1.Fingerprint() != g2.Fingerprint() || !sameColourHistogram(c1, c2) {
+			t.Fatalf("%s: WL separates the pair; it does not test the matcher", tc.name)
+		}
+		for _, e := range engines {
+			if _, ok := e.similar(g1, g2); ok {
+				t.Errorf("%s: %s says similar", tc.name, e.name)
+			}
+			for _, arcs := range [][][2]int{tc.a1, tc.a2} {
+				g, h := arcGraph(t, tc.n, arcs, nil), arcGraph(t, tc.n, arcs, rng.Perm)
+				if m, ok := e.similar(g, h); !ok || !VerifyMapping(g, h, m) {
+					t.Errorf("%s: %s rejects a permuted copy (ok=%v)", tc.name, e.name, ok)
+				}
+			}
+		}
+		// Both shapes side by side: a root mapped into the wrong kind of
+		// component must be backtracked out of. The ASP oracle does not
+		// finish these in test time (no colour separates the components),
+		// so only the matcher paths run.
+		union := joined(tc.a1, shifted(tc.a2, tc.n))
+		for _, e := range engines[:2] {
+			for k := 0; k < 4; k++ {
+				g, h := arcGraph(t, 2*tc.n, union, nil), arcGraph(t, 2*tc.n, union, rng.Perm)
+				if m, ok := e.similar(g, h); !ok || !VerifyMapping(g, h, m) {
+					t.Errorf("%s union: %s rejects a permuted copy (ok=%v)", tc.name, e.name, ok)
+				}
+			}
+		}
+	}
+}
+
+func sameColourHistogram(c1, c2 map[graph.ElemID]string) bool {
+	count := make(map[string]int)
+	for _, c := range c1 {
+		count[c]++
+	}
+	for _, c := range c2 {
+		count[c]--
+	}
+	for _, n := range count {
+		if n != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSimilarCountsParallelEdges: two hubs each send a parallel pair of
+// edges to one leaf and a single edge to the other, so hubs and leaves
+// each share one WL colour and every hub-leaf pair is adjacent. Only
+// the edge multiplicities say which leaf goes with which hub; a matcher
+// that checks adjacency alone maps the first hub's leaves crossed on
+// the reordered copy and then finds no edge bijection.
+func TestSimilarCountsParallelEdges(t *testing.T) {
+	arcs := [][2]int{{0, 2}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {1, 3}}
+	g := arcGraph(t, 4, arcs, nil)
+	for _, nodeOrder := range [][]int{{0, 1, 2, 3}, {0, 1, 3, 2}, {1, 0, 2, 3}, {3, 2, 1, 0}} {
+		h := arcGraph(t, 4, arcs, func(k int) []int {
+			if k == len(nodeOrder) {
+				return nodeOrder
+			}
+			return rand.New(rand.NewSource(int64(k))).Perm(k)
+		})
+		m, ok := Similar(g, h)
+		if !ok || !VerifyMapping(g, h, m) {
+			t.Errorf("node order %v: reordered copy rejected (ok=%v)", nodeOrder, ok)
+		}
 	}
 }

@@ -71,6 +71,17 @@ func goldenPrograms(t testing.TB) []benchprog.Program {
 // the pipeline's generalization stage would unify.
 func trialPair(t testing.TB, rec capture.Recorder, prog benchprog.Program, v benchprog.Variant) (*graph.Graph, *graph.Graph) {
 	t.Helper()
+	g1, g2, err := provmark.SelectPair(recordTrials(t, rec, prog, v))
+	if err != nil {
+		t.Fatalf("%s/%s: %v", rec.Name(), prog.Name, err)
+	}
+	return g1, g2
+}
+
+// recordTrials records a variant's default trials and keeps those that
+// pass the recorder's graph filter.
+func recordTrials(t testing.TB, rec capture.Recorder, prog benchprog.Program, v benchprog.Variant) []*graph.Graph {
+	t.Helper()
 	c, filter := capture.AsComplete(rec)
 	filter = filter && rec.FilterGraphs()
 	var trials []*graph.Graph
@@ -87,11 +98,7 @@ func trialPair(t testing.TB, rec capture.Recorder, prog benchprog.Program, v ben
 			trials = append(trials, g)
 		}
 	}
-	g1, g2, err := provmark.SelectPair(trials)
-	if err != nil {
-		t.Fatalf("%s/%s: %v", rec.Name(), prog.Name, err)
-	}
-	return g1, g2
+	return trials
 }
 
 func openRecorder(t testing.TB, tool string) capture.Recorder {

@@ -9,8 +9,8 @@ package provmark_test
 // "engine" is the fingerprint-bucketing classifier; "seed" replicates
 // the pre-engine decision pattern (linear scan, every fingerprint
 // collision confirmed by the ASP solver). Corpora vary trial count and
-// symmetry: symmetric shapes (interchangeable star leaves) deny the
-// engine its forced-mapping shortcut and force within-bucket solves.
+// symmetry: symmetric shapes (interchangeable star leaves) leave the
+// colour-guided matcher several candidates per leaf.
 
 import (
 	"fmt"

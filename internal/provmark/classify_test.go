@@ -3,9 +3,10 @@ package provmark_test
 // Differential test harness for the similarity classification engine:
 // a randomized corpus of seeded permutations and label/edge mutations,
 // asserting that every decision path — the production match.Similar,
-// the pure-ASP oracle match.SimilarASP, the VF2-style backtracker
-// match.SimilarDirect, and fingerprint bucketing through the
-// classifier — reaches the same verdict on every pair. Plus the
+// the pure-ASP oracle match.SimilarASP, the colour-guided matcher
+// match.SimilarDirect without the fingerprint filter, and fingerprint
+// bucketing through the classifier — reaches the same verdict on every
+// pair, including pairs WL refinement cannot tell apart. Plus the
 // instrumented acceptance tests: trial graphs fingerprint at most once
 // per pipeline run, and the engine spends at least 3x fewer ASP solver
 // invocations than the seed linear scan on a 32-trial corpus.
@@ -210,6 +211,96 @@ func TestDifferentialSimilarityEngines(t *testing.T) {
 	}
 }
 
+// fromArcs builds a graph of n uniformly labelled nodes and one
+// uniformly labelled edge per arc.
+func fromArcs(t *testing.T, n int, arcs ...[2]int) *graph.Graph {
+	t.Helper()
+	g := graph.New()
+	ids := make([]graph.ElemID, n)
+	for i := range ids {
+		ids[i] = g.AddNode("node", nil)
+	}
+	for _, a := range arcs {
+		mustEdge(t, g, ids[a[0]], ids[a[1]], "edge")
+	}
+	return g
+}
+
+// cycleArcs returns the arcs of a directed cycle through nodes
+// first..first+n-1.
+func cycleArcs(first, n int) [][2]int {
+	arcs := make([][2]int, n)
+	for i := range arcs {
+		arcs[i] = [2]int{first + i, first + (i+1)%n}
+	}
+	return arcs
+}
+
+// bothWays adds the reverse of every arc: an undirected graph.
+func bothWays(arcs [][2]int) [][2]int {
+	out := append([][2]int(nil), arcs...)
+	for _, a := range arcs {
+		out = append(out, [2]int{a[1], a[0]})
+	}
+	return out
+}
+
+// twice repeats every arc: each becomes a pair of parallel edges.
+func twice(arcs [][2]int) [][2]int { return append(append([][2]int(nil), arcs...), arcs...) }
+
+func concat(parts ...[][2]int) [][2]int {
+	var out [][2]int
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out
+}
+
+// wlBlindPair is a non-isomorphic pair that 3-round WL refinement
+// cannot tell apart: equal colour histograms and fingerprints, so only
+// a complete matcher separates them.
+type wlBlindPair struct {
+	name   string
+	g1, g2 *graph.Graph
+}
+
+func wlBlindPairs(t *testing.T) []wlBlindPair {
+	t.Helper()
+	return []wlBlindPair{
+		{"C6 vs 2xC3",
+			fromArcs(t, 6, bothWays(cycleArcs(0, 6))...),
+			fromArcs(t, 6, bothWays(concat(cycleArcs(0, 3), cycleArcs(3, 3)))...)},
+		{"directed C6 vs 2 directed C3",
+			fromArcs(t, 6, cycleArcs(0, 6)...),
+			fromArcs(t, 6, concat(cycleArcs(0, 3), cycleArcs(3, 3))...)},
+		// The same arcs, a 4-cycle and two 2-cycles; they differ only in
+		// which of them carry a parallel same-label edge.
+		{"parallel-edge multiplicity",
+			fromArcs(t, 8, concat(twice(cycleArcs(0, 4)), cycleArcs(4, 2), cycleArcs(6, 2))...),
+			fromArcs(t, 8, concat(cycleArcs(0, 4), twice(cycleArcs(4, 2)), twice(cycleArcs(6, 2)))...)},
+		{"self-loops vs 2-cycle",
+			fromArcs(t, 2, [2]int{0, 0}, [2]int{1, 1}),
+			fromArcs(t, 2, cycleArcs(0, 2)...)},
+	}
+}
+
+// TestDifferentialWLBlindPairs: on pairs WL refinement cannot separate
+// every decision path must still say "not similar", and on permuted
+// copies of the same shapes every path must say "similar" with a valid
+// witness.
+func TestDifferentialWLBlindPairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, p := range wlBlindPairs(t) {
+		if p.g1.Fingerprint() != p.g2.Fingerprint() {
+			t.Fatalf("%s: fingerprints differ; the pair is not WL-blind", p.name)
+		}
+		assertVerdicts(t, p.g1, p.g2, false, p.name)
+		for i, g := range []*graph.Graph{p.g1, p.g2} {
+			assertVerdicts(t, g, permutedCopy(t, g, rng, fmt.Sprintf("p%d", i)), true, p.name+" permuted")
+		}
+	}
+}
+
 // TestDifferentialCorpusClassification throws permuted families into
 // one classification call: permuted copies must land in one class per
 // family, label mutants in classes of their own.
@@ -324,7 +415,7 @@ func TestClassifierSolverInvocationReduction(t *testing.T) {
 	}
 	// The seed confirms every joining member through the solver (32
 	// trials - 4 class openers = 28 solves); the asymmetric corpus lets
-	// the engine confirm every pair through the forced-mapping verifier.
+	// the engine confirm every pair through the colour-guided matcher.
 	if seedSolves < 3*engineSolves || seedSolves == 0 {
 		t.Errorf("engine used %d ASP solves vs seed %d; want >= 3x reduction",
 			engineSolves, seedSolves)
@@ -391,10 +482,11 @@ func TestClassifierVerdictCache(t *testing.T) {
 	}
 }
 
-// TestClassifierSymmetricFallsBackToSolver: on graphs whose WL
-// refinement is not discrete (interchangeable star leaves) the forced
-// path must stand aside and the ASP solver confirm.
-func TestClassifierSymmetricFallsBackToSolver(t *testing.T) {
+// TestClassifierSymmetricNeedsNoSolver: on graphs whose WL refinement
+// is not discrete (interchangeable star leaves) the colour-guided
+// matcher confirms without the ASP solver, and agrees with the
+// SimilarASP oracle on every pair.
+func TestClassifierSymmetricNeedsNoSolver(t *testing.T) {
 	star := func(out, in int) *graph.Graph {
 		g := graph.New()
 		hub := g.AddNode("hub", nil)
@@ -412,9 +504,10 @@ func TestClassifierSymmetricFallsBackToSolver(t *testing.T) {
 	s1 := star(3, 1)
 	s2 := permutedCopy(t, s1, rng, "s2")
 	s3 := star(2, 2) // same counts and labels, different orientation
+	stars := []*graph.Graph{s1, s2, s3}
 
 	before := asp.SolveInvocations()
-	classes := provmark.SimilarityClasses([]*graph.Graph{s1, s2, s3})
+	classes := provmark.SimilarityClasses(stars)
 	delta := asp.SolveInvocations() - before
 
 	if len(classes) != 2 {
@@ -423,7 +516,16 @@ func TestClassifierSymmetricFallsBackToSolver(t *testing.T) {
 	if !reflect.DeepEqual(classes[0], []int{0, 1}) {
 		t.Errorf("permuted stars not classified together: %v", classes)
 	}
-	if delta == 0 {
-		t.Error("symmetric confirmation ran no ASP solves; forced path overreached")
+	if delta != 0 {
+		t.Errorf("symmetric classification ran %d ASP solves, want 0", delta)
+	}
+	for i, a := range stars {
+		for j, b := range stars {
+			_, got := match.Similar(a, b)
+			_, want := match.SimilarASP(a, b)
+			if got != want {
+				t.Errorf("stars %d/%d: Similar %v, SimilarASP %v", i, j, got, want)
+			}
+		}
 	}
 }
